@@ -227,16 +227,16 @@ def cmd_volume(args) -> int:
 
     lines = ["alpha_i,alpha_j,alpha_k,volume,hess_eig_min,hess_eig_max"]
 
-    def emit(a: CornerAlpha) -> None:
+    def emit(a: CornerAlpha, H: np.ndarray) -> None:
         V = relative_volume(chart, a)
-        eig = np.linalg.eigvalsh(volume_hessian(chart, a))
+        eig = np.linalg.eigvalsh(H)
         lines.append(
             ",".join(
                 [_fmt(a.a_i), _fmt(a.a_j), _fmt(a.a_k), _fmt(V), _fmt(eig[0]), _fmt(eig[-1])]
             )
         )
 
-    emit(base)
+    emit(base, volume_hessian(chart, base))
     step = args.grid_step
     ticks = []
     k = 1
@@ -248,10 +248,10 @@ def cmd_volume(args) -> int:
             for a_k in ticks:
                 try:
                     a = CornerAlpha(a_i, a_j, a_k)
-                    face_metric(a, eta)
+                    H = volume_hessian(chart, a)  # raises off the admissible set
                 except HexflowError:
                     continue
-                emit(a)
+                emit(a, H)
 
     text = "\n".join(lines) + "\n"
     if args.out:

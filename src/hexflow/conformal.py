@@ -6,6 +6,11 @@ are a lossless view.  The curvature of a factor is the vector of boundary
 lengths K, its Jacobian dK/da is assembled face by face, and the convex
 potential behind the flows and the Newton solver is a line integral of the
 closed 1-form K . da.
+
+Every evaluation runs the array kernel (`hexflow.kernel`) on all faces at
+once: curvature is a scatter of its arcs over the corner indices, the
+Jacobian a scatter of its blocks into a CSR pattern built once per surface,
+and the line integral evaluates all nodes of a quadrature level in one call.
 """
 
 from __future__ import annotations
@@ -19,14 +24,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .errors import DomainError, LengthMismatch, NotAdmissible, ParseError
-from .hexagon import (
-    CornerAlpha,
-    FaceEta,
-    face_jacobian_chain,
-    face_jacobian_closed,
-    face_metric,
-    hexagon_angles,
-)
+from .hexagon import CornerAlpha, FaceEta, face_jacobian_chain, face_metric, hexagon_angles
+from .kernel import FaceValues, edge_margins, face_kernel
 from .quadrature import line_integral
 from .tolerances import ADMISSIBILITY_EPS, FD_STEP
 from .triangulation import Surface
@@ -122,77 +121,102 @@ class AdmissibilityReport:
         return float(self.margins.min()) if self.margins.size else math.inf
 
 
-def admissibility(s: Surface, a: ConformalFactor) -> AdmissibilityReport:
-    """Evaluate every edge's admissibility margin for a factor."""
-    alpha = a.alpha
-    ids = []
-    margins = np.empty(len(s.edges))
-    dist = float(np.min(np.minimum(alpha, _HALF_PI - alpha))) if len(a) else math.inf
-    for idx, e in enumerate(s.edges):
-        i, j = e.ends
-        margins[idx] = math.cos(alpha[i] + alpha[j]) + e.eta
-        ids.append(e.id)
-        if e.eta <= 1.0:
-            cap = math.acos(-e.eta)
-            gap = cap - (alpha[i] + alpha[j])
-            # distance to the hyperplane a_i + a_j = cap (2 a_i = cap for a
-            # self-edge)
-            dist = min(dist, gap / (2.0 if i == j else math.sqrt(2.0)))
+def _report(s: Surface, alpha: np.ndarray, margins: np.ndarray) -> AdmissibilityReport:
+    arrays = s.arrays
+    dist = float(np.min(np.minimum(alpha, _HALF_PI - alpha))) if alpha.size else math.inf
+    capped = arrays.edge_etas <= 1.0
+    if capped.any():
+        i, j = arrays.ends[capped].T
+        gap = np.arccos(-arrays.edge_etas[capped]) - (alpha[i] + alpha[j])
+        # distance to the hyperplane a_i + a_j = cap (2 a_i = cap for a
+        # self-edge)
+        dist = min(dist, float(np.min(gap / np.where(i == j, 2.0, math.sqrt(2.0)))))
     admissible = bool(np.all(margins > ADMISSIBILITY_EPS)) if margins.size else True
-    nearest = ids[int(np.argmin(margins))] if margins.size else -1
+    nearest = arrays.edge_ids[int(np.argmin(margins))] if margins.size else -1
     return AdmissibilityReport(
         admissible=admissible,
-        edge_ids=tuple(ids),
+        edge_ids=arrays.edge_ids,
         margins=margins,
         nearest_edge=nearest,
         distance_to_boundary=dist,
     )
 
 
+def admissibility(s: Surface, a: ConformalFactor) -> AdmissibilityReport:
+    """Evaluate every edge's admissibility margin for a factor."""
+    return _report(s, a.alpha, edge_margins(s.arrays, a.alpha))
+
+
+def _raise_inadmissible(report: AdmissibilityReport):
+    raise NotAdmissible(
+        f"factor inadmissible: min margin {report.min_margin:.3e} "
+        f"at edge {report.nearest_edge}",
+        deficit=report.min_margin,
+        edge_id=report.nearest_edge,
+        report=report,
+    )
+
+
 def require_admissible(s: Surface, a: ConformalFactor) -> AdmissibilityReport:
     report = admissibility(s, a)
     if not report.admissible:
-        raise NotAdmissible(
-            f"factor inadmissible: min margin {report.min_margin:.3e} "
-            f"at edge {report.nearest_edge}",
-            deficit=report.min_margin,
-            edge_id=report.nearest_edge,
-            report=report,
-        )
+        _raise_inadmissible(report)
     return report
+
+
+def _check_factors(s: Surface, alpha: np.ndarray) -> None:
+    """The box check of ConformalFactor and the margin check of
+    require_admissible, on factors alpha of shape (n,) or (N, n) at once;
+    raises their error (NotAdmissible with the report attached) for the
+    first factor that fails."""
+    margins = edge_margins(s.arrays, alpha)
+    if not (
+        alpha.min() > 0.0
+        and alpha.max() < _HALF_PI
+        and np.min(margins, initial=math.inf) > ADMISSIBILITY_EPS
+    ):
+        alpha = alpha.reshape(-1, s.n_boundary)
+        margins = margins.reshape(alpha.shape[0], -1)
+        ok = np.all((alpha > 0.0) & (alpha < _HALF_PI), axis=1)
+        ok &= np.all(margins > ADMISSIBILITY_EPS, axis=1)
+        k = int(np.argmin(ok))
+        ConformalFactor(alpha[k])  # raises DomainError outside the box
+        _raise_inadmissible(_report(s, alpha[k], margins[k]))
+
+
+def _faces(s: Surface, alpha: np.ndarray, jacobian: bool = False) -> FaceValues:
+    """Kernel values of every face at factors alpha (..., n), which the
+    caller has checked."""
+    arrays = s.arrays
+    return face_kernel(alpha[..., arrays.corners], arrays.etas, jacobian, arrays.face_ids)
+
+
+def _scatter_arcs(s: Surface, arcs: np.ndarray) -> np.ndarray:
+    """Boundary lengths from the arcs (F, 3) of one factor, summed into
+    their components in face-then-slot order."""
+    return np.bincount(s.arrays.corners.ravel(), weights=arcs.ravel(), minlength=s.n_boundary)
 
 
 @dataclass(frozen=True)
 class CurvatureVector:
     """Boundary lengths K plus the per-face arc-length table used to build
-    them (face id -> (th_i, th_j, th_k) by corner slot)."""
+    them: face_angles[f] holds (th_i, th_j, th_k) by corner slot of the f-th
+    face in surface order, an (F, 3) array."""
 
     K: np.ndarray
-    face_angles: dict[int, tuple[float, float, float]]
+    face_angles: np.ndarray
 
     def __len__(self) -> int:
         return self.K.shape[0]
-
-
-def _face_states(s: Surface, alpha: np.ndarray):
-    for f in s.faces:
-        ca = CornerAlpha(*(alpha[c] for c in f.corners))
-        fe = FaceEta(*s.face_etas(f))
-        yield f, ca, fe, face_metric(ca, fe)
 
 
 def curvature(s: Surface, a: ConformalFactor) -> CurvatureVector:
     """Total boundary length per component: the sum of hexagon boundary arcs
     over all face corners incident to it.  Raises NotAdmissible (with the
     report attached) for inadmissible factors."""
-    require_admissible(s, a)
-    K = np.zeros(s.n_boundary)
-    face_angles: dict[int, tuple[float, float, float]] = {}
-    for f, _ca, _fe, m in _face_states(s, a.alpha):
-        face_angles[f.id] = m.angles
-        for slot, comp in enumerate(f.corners):
-            K[comp] += m.angles[slot]
-    return CurvatureVector(K=K, face_angles=face_angles)
+    _check_factors(s, a.alpha)
+    arcs = _faces(s, a.alpha).arcs
+    return CurvatureVector(K=_scatter_arcs(s, arcs), face_angles=arcs)
 
 
 def curvature_from_lengths(s: Surface, lengths: dict[int, float]) -> np.ndarray:
@@ -258,22 +282,24 @@ def global_jacobian(
     only up to rounding; useful for verifying the closed form)."""
     if blocks not in ("closed", "chain"):
         raise ValueError(f"unknown block formula {blocks!r}")
-    require_admissible(s, a)
-    per_face = face_jacobian_closed if blocks == "closed" else face_jacobian_chain
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for f, ca, fe, m in _face_states(s, a.alpha):
-        block = per_face(ca, fe, m)
-        for p in range(3):
-            for q in range(3):
-                rows.append(f.corners[p])
-                cols.append(f.corners[q])
-                vals.append(block[p, q])
+    _check_factors(s, a.alpha)
+    if blocks == "closed":
+        return _assemble(s, _faces(s, a.alpha, jacobian=True).jacobian)
+    chain = []
+    for f in s.faces:
+        ca = CornerAlpha(*(a.alpha[c] for c in f.corners))
+        fe = FaceEta(*s.face_etas(f))
+        chain.append(face_jacobian_chain(ca, fe, face_metric(ca, fe)))
+    return _assemble(s, np.array(chain).reshape(-1, 3, 3))
+
+
+def _assemble(s: Surface, blocks: np.ndarray) -> GlobalJacobian:
+    # per-face blocks (F, 3, 3) summed into the CSR pattern in face-then-slot
+    # order (repeated corners sum)
+    indptr, indices, slot = s.arrays.jacobian_pattern
+    data = np.bincount(slot, weights=blocks.ravel(), minlength=indices.size)
     n = s.n_boundary
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    mat.sum_duplicates()
-    return GlobalJacobian(matrix=mat, n=n)
+    return GlobalJacobian(matrix=sp.csr_matrix((data, indices, indptr), shape=(n, n)), n=n)
 
 
 def fd_global_jacobian(s: Surface, a: ConformalFactor, h: float = FD_STEP) -> np.ndarray:
@@ -308,9 +334,13 @@ def _segment_curvature_integral(
     if not np.any(d):
         return 0.0
 
-    def integrand(t: float) -> float:
-        K = curvature(s, ConformalFactor(start + t * d)).K
-        return float(K @ d)
+    # K . d summed face by face: each arc times the step of its component
+    d_corners = d[s.arrays.corners].ravel()
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        alpha = start + t[:, None] * d
+        _check_factors(s, alpha)
+        return _faces(s, alpha).arcs.reshape(t.size, -1) @ d_corners
 
     return line_integral(integrand)
 
@@ -376,12 +406,14 @@ def sample_admissible(
 
 
 def curvature_dump(s: Surface, a: ConformalFactor) -> dict:
-    """JSON-ready dump of curvature, Jacobian triplets and edge margins."""
+    """JSON-ready dump of curvature, Jacobian triplets and edge margins, from
+    one admissibility check and one kernel run."""
     report = require_admissible(s, a)
-    K = curvature(s, a)
-    J = global_jacobian(s, a)
+    faces = _faces(s, a.alpha, jacobian=True)
+    K = _scatter_arcs(s, faces.arcs)
+    J = _assemble(s, faces.jacobian)
     return {
-        "K": [float(k) for k in K.K],
+        "K": [float(k) for k in K],
         "jacobian": J.to_coo_dict(),
         "margins": {
             str(eid): float(m) for eid, m in zip(report.edge_ids, report.margins)

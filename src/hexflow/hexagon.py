@@ -156,9 +156,16 @@ def edge_length_u(u_i: float, u_j: float, eta: float) -> float:
 
 def _corner_arc(l_a: float, l_b: float, l_opp: float) -> float:
     # cosh(th) - 1 = (cosh(l_a - l_b) + cosh(l_opp)) / (sinh(l_a) sinh(l_b));
-    # the numerator is >= 2, so any positive lengths give a valid arc.
-    t = (math.cosh(l_a - l_b) + math.cosh(l_opp)) / (math.sinh(l_a) * math.sinh(l_b))
-    assert t > 0.0
+    # the numerator is >= 2, so any positive lengths give a valid arc unless
+    # a cosh or sinh overflows.
+    try:
+        t = (math.cosh(l_a - l_b) + math.cosh(l_opp)) / (math.sinh(l_a) * math.sinh(l_b))
+    except OverflowError:
+        t = math.nan
+    if not 0.0 < t < math.inf:
+        raise DomainError(
+            f"hexagon cosine law out of float range at lengths ({l_a!r}, {l_b!r}, {l_opp!r})"
+        )
     return acosh1p(t)
 
 

@@ -34,6 +34,7 @@ from .conformal import (
     _segment_curvature_integral,
 )
 from .errors import DomainError, JacobianNotPD, NotAttained, NotSPD
+from .kernel import edge_margins
 from .triangulation import Surface, structure_condition_holds
 
 _HALF_PI = 0.5 * math.pi
@@ -167,11 +168,7 @@ def velocity(method: str, s: float, K, Kbar, J=None) -> np.ndarray:
 
 
 def _min_edge_margin(s: Surface, alpha: np.ndarray) -> float:
-    m = math.inf
-    for e in s.edges:
-        i, j = e.ends
-        m = min(m, math.cos(alpha[i] + alpha[j]) + e.eta)
-    return m
+    return float(np.min(edge_margins(s.arrays, alpha), initial=math.inf))
 
 
 def _in_open_box(alpha: np.ndarray) -> bool:

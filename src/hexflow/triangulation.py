@@ -12,6 +12,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import EtaOutOfRange, ParseError, ValidationError
 
@@ -40,6 +43,47 @@ class Face:
     id: int
     corners: tuple[int, int, int]
     edges: tuple[int, int, int]
+
+
+@dataclass(frozen=True)
+class SurfaceArrays:
+    """A surface compiled into index arrays, in surface face and edge order.
+
+    corners[f, t] is the component at corner slot t of face f, and
+    etas[f] holds that face's weights (e_ij, e_ik, e_jk) as in
+    Surface.face_etas; ends[e] and edge_etas[e] are the endpoints and weight
+    of edge e.
+    """
+
+    n: int
+    face_ids: tuple[int, ...]
+    corners: np.ndarray
+    etas: np.ndarray
+    edge_ids: tuple[int, ...]
+    ends: np.ndarray
+    edge_etas: np.ndarray
+
+    def __post_init__(self):
+        # shared by every evaluation on the surface
+        for arr in (self.corners, self.etas, self.ends, self.edge_etas):
+            arr.flags.writeable = False
+
+    @cached_property
+    def jacobian_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR pattern (indptr, indices) of the n x n curvature Jacobian, and
+        for each entry of the per-face 3x3 blocks, flattened in face-then-
+        slot order, the position of its summand in the CSR data vector."""
+        rows = np.repeat(self.corners, 3, axis=1).ravel()
+        cols = np.tile(self.corners, 3).ravel()
+        keys, slot = np.unique(rows * self.n + cols, return_inverse=True)
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // self.n, minlength=self.n), out=indptr[1:])
+        # int32, the index type scipy picks for these sizes, so building a
+        # matrix copies nothing; read-only, as every matrix shares them
+        pattern = indptr, (keys % self.n).astype(np.int32), slot.astype(np.int32)
+        for arr in pattern:
+            arr.flags.writeable = False
+        return pattern
 
 
 @dataclass(frozen=True)
@@ -72,6 +116,25 @@ class Surface:
         e_ik = self._edge_by_id[face.edges[1]].eta
         e_ij = self._edge_by_id[face.edges[2]].eta
         return (e_ij, e_ik, e_jk)
+
+    @cached_property
+    def arrays(self) -> SurfaceArrays:
+        """The index arrays of this surface, built on first use."""
+        return SurfaceArrays(
+            n=self.n_boundary,
+            face_ids=tuple(f.id for f in self.faces),
+            corners=np.fromiter(
+                (c for f in self.faces for c in f.corners), np.intp, 3 * len(self.faces)
+            ).reshape(-1, 3),
+            etas=np.fromiter(
+                (e for f in self.faces for e in self.face_etas(f)), float, 3 * len(self.faces)
+            ).reshape(-1, 3),
+            edge_ids=tuple(e.id for e in self.edges),
+            ends=np.fromiter(
+                (b for e in self.edges for b in e.ends), np.intp, 2 * len(self.edges)
+            ).reshape(-1, 2),
+            edge_etas=np.fromiter((e.eta for e in self.edges), float, len(self.edges)),
+        )
 
     def to_dict(self) -> dict:
         return {

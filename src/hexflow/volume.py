@@ -13,11 +13,14 @@ the dihedral angles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .hexagon import CornerAlpha, FaceEta, face_jacobian_closed, face_metric
-from .quadrature import line_integral
+from .conformal import _check_factors, _faces, _segment_curvature_integral
+from .hexagon import CornerAlpha, FaceEta
+from .kernel import FaceValues
+from .triangulation import Edge, Face, Surface
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,24 @@ class PyramidChart:
     base_alpha: CornerAlpha
 
     def __post_init__(self):
-        face_metric(self.base_alpha, self.eta)  # raises NotAdmissible if bad
+        _face_values(self, self.base_alpha)  # raises NotAdmissible if bad
+
+    @cached_property
+    def surface(self) -> Surface:
+        """The chart's face as a one-face surface on components 0, 1, 2, so
+        its curvature is the arc vector (th_i, th_j, th_k)."""
+        edges = (
+            Edge(id=0, ends=(1, 2), eta=self.eta.e_jk),
+            Edge(id=1, ends=(0, 2), eta=self.eta.e_ik),
+            Edge(id=2, ends=(0, 1), eta=self.eta.e_ij),
+        )
+        return Surface(n_boundary=3, edges=edges, faces=(Face(0, (0, 1, 2), (0, 1, 2)),))
+
+
+def _face_values(chart: PyramidChart, a: CornerAlpha, jacobian: bool = False) -> FaceValues:
+    alpha = np.array(a.as_tuple())
+    _check_factors(chart.surface, alpha)
+    return _faces(chart.surface, alpha, jacobian)
 
 
 def relative_volume(chart: PyramidChart, a: CornerAlpha) -> float:
@@ -37,26 +57,18 @@ def relative_volume(chart: PyramidChart, a: CornerAlpha) -> float:
     straight segment from the base point (admissible by convexity)."""
     start = np.array(chart.base_alpha.as_tuple())
     end = np.array(a.as_tuple())
-    d = end - start
-    if not np.any(d):
+    if not np.any(end - start):
         return 0.0
-    face_metric(a, chart.eta)  # endpoint admissibility check
-
-    def integrand(t: float) -> float:
-        m = face_metric(CornerAlpha(*(start + t * d)), chart.eta)
-        return float(np.dot(m.angles, d))
-
-    return -0.5 * line_integral(integrand)
+    _check_factors(chart.surface, end)  # endpoint check
+    return -0.5 * _segment_curvature_integral(chart.surface, start, end)
 
 
 def volume_gradient(chart: PyramidChart, a: CornerAlpha) -> np.ndarray:
     """Gradient of the relative volume: -(1/2) times the boundary arcs."""
-    m = face_metric(a, chart.eta)
-    return -0.5 * np.array(m.angles)
+    return -0.5 * _face_values(chart, a).arcs[0]
 
 
 def volume_hessian(chart: PyramidChart, a: CornerAlpha) -> np.ndarray:
     """Hessian of the relative volume: -(1/2) times the angle Jacobian.
     All eigenvalues are negative under the structure condition."""
-    m = face_metric(a, chart.eta)
-    return -0.5 * face_jacobian_closed(a, chart.eta, m)
+    return -0.5 * _face_values(chart, a, jacobian=True).jacobian[0]

@@ -96,6 +96,15 @@ class TestCurvature:
         err = capsys.readouterr().err
         assert "margin" in err
 
+    def test_underflowing_sines_exit_2(self, pants_path, factor_file, tmp_path, capsys):
+        # sin(a_0) sin(a_1) underflows to zero, so the edge length is not a
+        # finite number: an input error naming the face, and no output
+        fpath = factor_file([1e-170, 1e-170, 0.5])
+        out = tmp_path / "dump.json"
+        assert main(["curvature", pants_path, fpath, "--out", str(out)]) == 2
+        assert "face 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_u_form_accepted(self, pants_path, factor_file, capsys):
         u = 0.5 * math.log(3.0)  # alpha = arctan(e^-u) = pi/6
         fpath = factor_file([u] * 3, key="u")

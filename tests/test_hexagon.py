@@ -139,6 +139,11 @@ class TestHexagonAngles:
         with pytest.raises(DomainError):
             hexagon_angles(0.0, 1.0, 1.0)
 
+    def test_overflow_is_a_domain_error(self):
+        # sinh(800) overflows a double
+        with pytest.raises(DomainError):
+            hexagon_angles(800.0, 800.0, 1.0)
+
     def test_tiny_length_still_geometric(self):
         th_i = hexagon_angles(1e-250, 1.0, 1.0)[0]
         assert math.isfinite(th_i) and th_i > 500.0
