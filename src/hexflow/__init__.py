@@ -63,9 +63,8 @@ from .conformal import (
 )
 from .solve import (
     FlowConfig,
-    FlowTrace,
     NewtonConfig,
-    NewtonLog,
+    RunLog,
     measured_decay_rate,
     run_flow,
     solve_prescribed,

@@ -43,6 +43,7 @@ from .hexagon import (
 )
 from .solve import (
     CONVERGED,
+    JACOBIAN_NOT_PD,
     FlowConfig,
     NewtonConfig,
     run_flow,
@@ -80,7 +81,10 @@ def _load_target(path, n: int) -> np.ndarray:
         raise ParseError(f"cannot read target file {path}: {exc}") from exc
     if not isinstance(data, dict) or "K" not in data:
         raise ParseError(f"target file {path} must be an object with key 'K'")
-    K = np.asarray(data["K"], dtype=float)
+    try:
+        K = np.asarray(data["K"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"target file {path}: {exc}") from exc
     if K.shape != (n,):
         raise ParseError(f"target has {K.size} components, surface has {n}")
     return K
@@ -133,7 +137,7 @@ def cmd_flow(args) -> int:
     )
     if trace.status == CONVERGED:
         return EXIT_OK
-    if trace.status == "JacobianNotPD":
+    if trace.status == JACOBIAN_NOT_PD:
         return EXIT_NOT_PD
     return EXIT_NONCONVERGED
 
@@ -145,8 +149,7 @@ def cmd_solve(args) -> int:
     cfg = NewtonConfig(tol=args.tol, max_iters=args.max_iters)
     result, log = solve_prescribed(surface, factor, Kbar, cfg)
     if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write(log.to_csv())
+        log.write_csv(args.log)
     if args.out:
         save_factor(result, args.out)
     last = log.rows[-1]

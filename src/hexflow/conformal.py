@@ -1,8 +1,10 @@
 """Surface-level conformal machinery.
 
 Conformal factors live canonically in the angle parameters a in (0, pi/2)^n,
-one per boundary component; the log-scale parameters u with a = arctan(e^-u)
-are a lossless view.  The curvature of a factor is the vector of boundary
+one per boundary component.  The log-scale parameters u with
+a = arctan(e^-u) are another view, representable in double precision for
+about -36.3 < u < 745.1: beyond those ends a rounds to pi/2 or to 0 and
+the factor is rejected.  The curvature of a factor is the vector of boundary
 lengths K, its Jacobian dK/da is assembled face by face, and the convex
 potential behind the flows and the Newton solver is a line integral of the
 closed 1-form K . da.
@@ -55,7 +57,11 @@ class ConformalFactor:
     @classmethod
     def from_u(cls, u) -> "ConformalFactor":
         u = np.asarray(u, dtype=float)
-        return cls(np.arctan(np.exp(-u)))
+        # exp overflows to inf for u < -709.78; arctan(inf) = pi/2 is then
+        # rejected by the box check like any other u below about -36.3
+        with np.errstate(over="ignore"):
+            alpha = np.arctan(np.exp(-u))
+        return cls(alpha)
 
     @property
     def u(self) -> np.ndarray:

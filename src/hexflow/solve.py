@@ -12,9 +12,12 @@ fractional flow to the ricci and calabi flows exactly, and the reductions are
 implemented as exact dispatch so the traces agree bit for bit.
 
 Time stepping is explicit Euler with two per-step guards: the proposed point
-must stay admissible (with a configurable margin) inside the open angle box,
-and the quadratic curvature error must not increase.  Rejected steps shrink
-dt; runs of accepted steps grow it back.
+must stay inside the open angle box with every edge margin at least
+STEP_MARGIN, and the quadratic curvature error must not increase.  Rejected
+steps shrink dt by STEP_SHRINK; STEP_GROW_AFTER accepted steps in a row grow
+it back, up to DT_CAP_FACTOR times dt0.  The Newton solver's line search is
+the same guarded step with an Armijo test in place of monotonicity.  The
+step-control constants live in `hexflow.tolerances`.
 """
 
 from __future__ import annotations
@@ -35,6 +38,14 @@ from .conformal import (
 )
 from .errors import DomainError, JacobianNotPD, NotAttained, NotSPD
 from .kernel import edge_margins
+from .tolerances import (
+    ARMIJO,
+    DT_CAP_FACTOR,
+    STEP_FLOOR,
+    STEP_GROW_AFTER,
+    STEP_MARGIN,
+    STEP_SHRINK,
+)
 from .triangulation import Surface, structure_condition_holds
 
 _HALF_PI = 0.5 * math.pi
@@ -49,9 +60,6 @@ JACOBIAN_NOT_PD = "JacobianNotPD"
 MAX_ITERS = "MaxIters"
 NOT_ATTAINED = "NotAttained"
 
-DT_FLOOR = 1e-14
-STEP_FLOOR = 1e-14
-
 
 @dataclass
 class FlowConfig:
@@ -60,47 +68,47 @@ class FlowConfig:
     dt0: float = 0.1
     tol: float = 1e-10
     max_steps: int = 100_000
-    shrink: float = 0.5
-    admissibility_margin: float = 1e-9
-    grow_after: int = 5
-    dt_cap_factor: float = 10.0
 
     def __post_init__(self):
         if self.method not in FLOW_METHODS:
             raise DomainError(f"unknown flow method {self.method!r}")
         if not self.tol > 0.0:
             raise DomainError("tol must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise DomainError("shrink must lie in (0, 1)")
-        if not self.dt0 > 0.0:
-            raise DomainError("dt0 must be positive")
-        if self.admissibility_margin < 0.0:
-            raise DomainError("admissibility_margin must be >= 0")
+        if not 0.0 < self.dt0 < math.inf:
+            raise DomainError("dt0 must be positive and finite")
+        if not math.isfinite(self.s):
+            raise DomainError("s must be finite")
 
 
 TRACE_COLUMNS = ("step", "t", "dt", "resid_inf", "calabi_energy", "potential", "min_margin")
+NEWTON_COLUMNS = ("iter", "resid_inf", "step_len", "potential", "min_margin", "gradient_fallback")
 
 
 @dataclass
-class FlowTrace:
-    """One row per accepted step (row 0 is the initial state) plus the
-    terminal status and whether the weight structure condition held."""
+class RunLog:
+    """One row per accepted flow step or Newton iteration (row 0 is the
+    initial state), the terminal status and, for flows, whether the weight
+    structure condition held."""
 
+    columns: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
     status: str = ""
-    structure_condition: bool = True
+    structure_condition: bool | None = None
 
     def column(self, name: str) -> np.ndarray:
-        idx = TRACE_COLUMNS.index(name)
+        idx = self.columns.index(name)
         return np.array([row[idx] for row in self.rows])
 
     def to_csv(self) -> str:
-        lines = [",".join(TRACE_COLUMNS)]
+        """Floats in shortest round-trip decimal; counters and flags as
+        integers."""
+        lines = [",".join(self.columns)]
         for row in self.rows:
-            step = str(row[0])
-            rest = ",".join(repr(float(v)) for v in row[1:])
-            lines.append(f"{step},{rest}")
-        lines.append(f"# structure_condition={str(self.structure_condition).lower()}")
+            lines.append(
+                ",".join(repr(float(v)) if isinstance(v, float) else str(int(v)) for v in row)
+            )
+        if self.structure_condition is not None:
+            lines.append(f"# structure_condition={str(self.structure_condition).lower()}")
         lines.append(f"# status={self.status}")
         return "\n".join(lines) + "\n"
 
@@ -112,7 +120,7 @@ class FlowTrace:
 def spd_power(J, s: float) -> np.ndarray:
     """Real power of a symmetric positive definite matrix via its
     eigendecomposition; raises NotSPD on asymmetry or eigenvalues <= 0."""
-    A = np.asarray(getattr(J, "dense", lambda: J)(), dtype=float)
+    A = _as_dense(J)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSPD("matrix must be square")
     scale = max(1.0, float(np.abs(A).max()))
@@ -175,21 +183,46 @@ def _in_open_box(alpha: np.ndarray) -> bool:
     return bool(np.all((alpha > 0.0) & (alpha < _HALF_PI)))
 
 
+def _target(s: Surface, Kbar) -> np.ndarray:
+    Kbar = np.asarray(getattr(Kbar, "K", Kbar), dtype=float)
+    if Kbar.shape != (s.n_boundary,) or not np.all(Kbar > 0.0):
+        raise DomainError("target boundary lengths must be positive, one per component")
+    return Kbar
+
+
+def _guarded_step(s: Surface, alpha: np.ndarray, d: np.ndarray, step: float, accept):
+    """Shrink step by STEP_SHRINK until alpha + step * d lies in the open
+    angle box, keeps every edge margin at least STEP_MARGIN and passes
+    accept(trial, step), which returns None to reject the trial or the value
+    to keep.  accept sees only trials that passed both guards.
+
+    Returns (trial, step, margin, value), or None once step drops below
+    STEP_FLOOR.
+    """
+    while step >= STEP_FLOOR:
+        trial = alpha + step * d
+        if _in_open_box(trial):
+            margin = _min_edge_margin(s, trial)
+            if margin >= STEP_MARGIN:
+                value = accept(trial, step)
+                if value is not None:
+                    return trial, step, margin, value
+        step *= STEP_SHRINK
+    return None
+
+
 def run_flow(
     s: Surface, a0: ConformalFactor, Kbar, cfg: FlowConfig
-) -> tuple[ConformalFactor, FlowTrace]:
+) -> tuple[ConformalFactor, RunLog]:
     """Integrate the configured flow from a0 toward curvature Kbar.
 
     Dynamics never raise: the trace records a terminal status of Converged,
     MaxSteps, StalledStep (dt underflow) or JacobianNotPD.  Malformed inputs
     (inadmissible a0, nonpositive Kbar) do raise.
     """
-    Kbar = np.asarray(getattr(Kbar, "K", Kbar), dtype=float)
-    if Kbar.shape != (s.n_boundary,) or not np.all(Kbar > 0.0):
-        raise DomainError("target boundary lengths must be positive, one per component")
-
+    Kbar = _target(s, Kbar)
     base = default_base_point(s)
-    trace = FlowTrace(structure_condition=structure_condition_holds(s))
+    trace = RunLog(TRACE_COLUMNS, structure_condition=structure_condition_holds(s))
 
     alpha = a0.alpha.copy()
     K = curvature(s, ConformalFactor(alpha)).K  # raises if a0 inadmissible
@@ -205,10 +238,16 @@ def run_flow(
     needs_jacobian = cfg.method == "calabi" or (
         cfg.method == "fractional" and cfg.s != 0.0
     )
-    dt = cfg.dt0
-    dt_cap = cfg.dt0 * cfg.dt_cap_factor
+    dt = float(cfg.dt0)  # a float, so the trace writes it as one
+    dt_cap = cfg.dt0 * DT_CAP_FACTOR
     t = 0.0
     accepted_run = 0
+
+    # reads cal when called, so it compares with the current point
+    def monotone(trial, _):
+        K_trial = curvature(s, ConformalFactor(trial)).K
+        cal_trial = calabi_energy(K_trial, Kbar)
+        return None if cal_trial > cal else (K_trial, cal_trial)
 
     for step in range(1, cfg.max_steps + 1):
         J = global_jacobian(s, ConformalFactor(alpha)) if needs_jacobian else None
@@ -218,33 +257,19 @@ def run_flow(
             trace.status = JACOBIAN_NOT_PD
             return ConformalFactor(alpha), trace
 
-        # shrink dt until the proposed point passes both guards
-        while True:
-            if dt < DT_FLOOR:
-                trace.status = STALLED_STEP
-                return ConformalFactor(alpha), trace
-            trial = alpha + dt * v
-            if not _in_open_box(trial):
-                dt *= cfg.shrink
-                accepted_run = 0
-                continue
-            margin = _min_edge_margin(s, trial)
-            if margin < cfg.admissibility_margin:
-                dt *= cfg.shrink
-                accepted_run = 0
-                continue
-            K_trial = curvature(s, ConformalFactor(trial)).K
-            cal_trial = calabi_energy(K_trial, Kbar)
-            if cal_trial > cal:
-                dt *= cfg.shrink
-                accepted_run = 0
-                continue
-            break
+        guarded = _guarded_step(s, alpha, v, dt, monotone)
+        if guarded is None:
+            trace.status = STALLED_STEP
+            return ConformalFactor(alpha), trace
+        trial, accepted_dt, margin, (K, cal) = guarded
+        if accepted_dt < dt:
+            accepted_run = 0
+        dt = accepted_dt
 
         pot += _segment_curvature_integral(s, alpha, trial) - float(
             Kbar @ (trial - alpha)
         )
-        alpha, K, cal = trial, K_trial, cal_trial
+        alpha = trial
         t += dt
         resid = float(np.max(np.abs(K - Kbar)))
         trace.rows.append((step, t, dt, resid, cal, pot, margin))
@@ -254,15 +279,15 @@ def run_flow(
             return ConformalFactor(alpha), trace
 
         accepted_run += 1
-        if accepted_run >= cfg.grow_after:
-            dt = min(dt / cfg.shrink, dt_cap)
+        if accepted_run >= STEP_GROW_AFTER:
+            dt = min(dt / STEP_SHRINK, dt_cap)
             accepted_run = 0
 
     trace.status = MAX_STEPS
     return ConformalFactor(alpha), trace
 
 
-def measured_decay_rate(trace: FlowTrace, tail_floor: float = 0.0) -> float:
+def measured_decay_rate(trace: RunLog, tail_floor: float = 0.0) -> float:
     """Least-squares rate r of resid ~ C exp(-r t) over the trace rows with
     resid above tail_floor; positive means geometric decay."""
     t = trace.column("t")
@@ -279,44 +304,15 @@ def measured_decay_rate(trace: FlowTrace, tail_floor: float = 0.0) -> float:
 class NewtonConfig:
     tol: float = 1e-10
     max_iters: int = 100
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    admissibility_margin: float = 1e-9
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise DomainError("tol must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise DomainError("backtrack must lie in (0, 1)")
-        if not 0.0 < self.armijo < 1.0:
-            raise DomainError("armijo constant must lie in (0, 1)")
-
-
-NEWTON_COLUMNS = ("iter", "resid_inf", "step_len", "potential", "min_margin", "gradient_fallback")
-
-
-@dataclass
-class NewtonLog:
-    rows: list[tuple] = field(default_factory=list)
-    status: str = ""
-
-    def column(self, name: str) -> np.ndarray:
-        idx = NEWTON_COLUMNS.index(name)
-        return np.array([row[idx] for row in self.rows])
-
-    def to_csv(self) -> str:
-        lines = [",".join(NEWTON_COLUMNS)]
-        for row in self.rows:
-            lines.append(
-                f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]!r},{int(row[5])}"
-            )
-        lines.append(f"# status={self.status}")
-        return "\n".join(lines) + "\n"
 
 
 def solve_prescribed(
     s: Surface, a0: ConformalFactor, Kbar, cfg: NewtonConfig | None = None
-) -> tuple[ConformalFactor, NewtonLog]:
+) -> tuple[ConformalFactor, RunLog]:
     """Damped Newton descent on the convex potential for target boundary
     lengths Kbar.
 
@@ -330,12 +326,9 @@ def solve_prescribed(
     """
     if cfg is None:
         cfg = NewtonConfig()
-    Kbar = np.asarray(getattr(Kbar, "K", Kbar), dtype=float)
-    if Kbar.shape != (s.n_boundary,) or not np.all(Kbar > 0.0):
-        raise DomainError("target boundary lengths must be positive, one per component")
-
+    Kbar = _target(s, Kbar)
     base = default_base_point(s)
-    log = NewtonLog()
+    log = RunLog(NEWTON_COLUMNS)
     alpha = a0.alpha.copy()
     K = curvature(s, ConformalFactor(alpha)).K
     pot = potential(s, ConformalFactor(alpha), Kbar, base)
@@ -344,6 +337,13 @@ def solve_prescribed(
     if resid <= cfg.tol:
         log.status = CONVERGED
         return ConformalFactor(alpha), log
+
+    # reads alpha and slope when called, so it uses the current iteration's
+    def armijo(trial, lam):
+        dpot = _segment_curvature_integral(s, alpha, trial) - float(
+            Kbar @ (trial - alpha)
+        )
+        return dpot if dpot <= ARMIJO * lam * slope else None
 
     previous_fallback = False
     for it in range(1, cfg.max_iters + 1):
@@ -366,32 +366,16 @@ def solve_prescribed(
         previous_fallback = fallback
 
         slope = float(grad @ d)
-        lam = 1.0
-        while True:
-            if lam < STEP_FLOOR:
-                log.status = NOT_ATTAINED
-                raise NotAttained(
-                    f"line search stalled at iteration {it} with residual "
-                    f"{resid:.3e} and min margin {_min_edge_margin(s, alpha):.3e}; "
-                    "no admissible factor appears to realize this target",
-                    log=log,
-                )
-            trial = alpha + lam * d
-            if not _in_open_box(trial):
-                lam *= cfg.backtrack
-                continue
-            margin = _min_edge_margin(s, trial)
-            if margin < cfg.admissibility_margin:
-                lam *= cfg.backtrack
-                continue
-            dpot = _segment_curvature_integral(s, alpha, trial) - float(
-                Kbar @ (trial - alpha)
+        guarded = _guarded_step(s, alpha, d, 1.0, armijo)
+        if guarded is None:
+            log.status = NOT_ATTAINED
+            raise NotAttained(
+                f"line search stalled at iteration {it} with residual "
+                f"{resid:.3e} and min margin {_min_edge_margin(s, alpha):.3e}; "
+                "no admissible factor appears to realize this target",
+                log=log,
             )
-            if dpot <= cfg.armijo * lam * slope:
-                break
-            lam *= cfg.backtrack
-
-        alpha = trial
+        alpha, lam, margin, dpot = guarded
         pot += dpot
         K = curvature(s, ConformalFactor(alpha)).K
         resid = float(np.max(np.abs(K - Kbar)))

@@ -169,6 +169,13 @@ class TestFlow:
         fpath, tpath = self.setup_problem(factor_file, target_file)
         assert main(["flow", pants_path, fpath, tpath, "--max-steps", "1"]) == 4
 
+    @pytest.mark.parametrize(
+        "option", [["--dt0", "inf"], ["--method", "fractional", "--s", "nan"]], ids=["dt0-inf", "s-nan"]
+    )
+    def test_non_finite_step_settings_exit_2(self, pants_path, factor_file, target_file, option):
+        fpath, tpath = self.setup_problem(factor_file, target_file)
+        assert main(["flow", pants_path, fpath, tpath, *option]) == 2
+
     def test_writes_final_factor(self, pants_path, factor_file, target_file, tmp_path):
         fpath, tpath = self.setup_problem(factor_file, target_file)
         out = tmp_path / "final.json"
@@ -218,6 +225,14 @@ class TestSolve:
         fpath = factor_file([math.pi / 6] * 3)
         tpath = target_file([1.0, 1.0, 1.0])
         assert main(["solve", pants_path, fpath, tpath]) == 6
+
+
+@pytest.mark.parametrize("K", ["x", {"a": 1}, [[1.0], [2.0, 3.0]]], ids=["string", "object", "ragged"])
+@pytest.mark.parametrize("command", ["flow", "solve"])
+def test_malformed_target_exits_2(pants_path, factor_file, tmp_path, command, K):
+    tpath = tmp_path / "target.json"
+    tpath.write_text(json.dumps({"K": K}))
+    assert main([command, pants_path, factor_file([math.pi / 6] * 3), str(tpath)]) == 2
 
 
 class TestJacobianCheck:

@@ -38,6 +38,12 @@ class TestConformalFactor:
         back = ConformalFactor.from_u(f.u)
         assert np.allclose(back.alpha, alpha, rtol=1e-14)
 
+    def test_u_out_of_range_rejected(self):
+        from hexflow import DomainError
+
+        with pytest.raises(DomainError):
+            ConformalFactor.from_u([-1000.0, 0.0, 0.0])
+
     def test_open_box_enforced(self):
         from hexflow import DomainError
 

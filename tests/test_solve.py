@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from hexflow import (
     velocity,
 )
 import hexflow.solve
-from hexflow.solve import CONVERGED, MAX_ITERS, MAX_STEPS, STALLED_STEP
+from hexflow.solve import CONVERGED, MAX_ITERS, MAX_STEPS, STALLED_STEP, _guarded_step
+from hexflow.tolerances import STEP_FLOOR, STEP_MARGIN
 from conftest import PROFILES, load, reference_factor
 
 
@@ -154,7 +157,50 @@ class TestVelocity:
             velocity("yamabe", 0.0, K, Kbar, J)
 
 
+class TestGuardedStep:
+    # From a = (0.3, 0.3, 0.3) on the zero-weight pants, whose edge margins
+    # are cos(a_i + a_j): the full "outside-box" step leaves the box, the
+    # full "under-margin" step stays in the box but crosses a facet, and
+    # both pass at half the step.
+    @pytest.mark.parametrize(
+        "d,rejections,result_step,accept_steps",
+        [
+            pytest.param([-0.45] * 3, 0, 0.5, [0.5], id="outside-box"),
+            pytest.param([0.6] * 3, 0, 0.5, [0.5], id="under-margin"),
+            pytest.param([0.01] * 3, 1, 0.5, [1.0, 0.5], id="rejected-by-accept"),
+            pytest.param([0.01] * 3, math.inf, None, [0.5**k for k in range(47)], id="floor"),
+        ],
+    )
+    def test_shrinks_until_accepted(self, pants, d, rejections, result_step, accept_steps):
+        alpha = np.full(3, 0.3)
+        d = np.array(d)
+        seen = []
+
+        def accept(trial, step):
+            # only trials that passed the box and the margin checks get here
+            assert np.all((trial > 0.0) & (trial < 0.5 * math.pi))
+            assert np.cos(trial[0] + trial[1]) >= STEP_MARGIN
+            seen.append(step)
+            return None if len(seen) <= rejections else "value"
+
+        out = _guarded_step(pants, alpha, d, 1.0, accept)
+        assert seen == accept_steps
+        if result_step is None:
+            assert out is None
+            assert seen[-1] >= STEP_FLOOR > seen[-1] * 0.5
+        else:
+            trial, step, margin, value = out
+            assert (step, value) == (result_step, "value")
+            assert np.array_equal(trial, alpha + step * d)
+            assert margin >= STEP_MARGIN
+
+
 class TestRunFlow:
+    @pytest.mark.parametrize("field,value", [("dt0", math.inf), ("s", math.nan)])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(DomainError):
+            FlowConfig(method="fractional", **{field: value})
+
     def test_start_at_equilibrium(self, pants):
         abar = reference_factor(pants)
         Kbar = curvature(pants, abar).K
@@ -187,7 +233,7 @@ class TestRunFlow:
 
     def test_margins_respect_floor(self, pants_mixed):
         _, Kbar, a0 = round_trip_problem(pants_mixed, spread=0.01)
-        cfg = FlowConfig(method="ricci", admissibility_margin=1e-9)
+        cfg = FlowConfig(method="ricci")
         _, trace = run_flow(pants_mixed, a0, Kbar, cfg)
         assert trace.status == CONVERGED
         assert np.all(trace.column("min_margin") >= 1e-9)
