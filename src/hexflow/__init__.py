@@ -31,6 +31,7 @@ from .hexagon import (
     CornerAlpha,
     FaceEta,
     HexagonMetric,
+    central_difference,
     det_length_alpha_jacobian,
     det_lower_bound,
     diagonal_identity_residuals,
@@ -42,6 +43,7 @@ from .hexagon import (
     face_jacobian_fd,
     face_metric,
     hexagon_angles,
+    length_jacobian_fd,
 )
 from .conformal import (
     AdmissibilityReport,
@@ -50,6 +52,7 @@ from .conformal import (
     GlobalJacobian,
     admissibility,
     calabi_energy,
+    chain_global_jacobian,
     curvature,
     curvature_from_lengths,
     default_base_point,

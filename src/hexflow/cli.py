@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .conformal import (
+    chain_global_jacobian,
     curvature_dump,
     fd_global_jacobian,
     global_jacobian,
@@ -26,6 +27,7 @@ from .conformal import (
     save_factor,
 )
 from .errors import (
+    DomainError,
     HexflowError,
     JacobianNotPD,
     NotAdmissible,
@@ -38,8 +40,8 @@ from .hexagon import (
     FaceEta,
     det_length_alpha_jacobian,
     diagonal_identity_residuals,
-    edge_length_alpha,
     face_metric,
+    length_jacobian_fd,
 )
 from .solve import (
     CONVERGED,
@@ -49,6 +51,7 @@ from .solve import (
     run_flow,
     solve_prescribed,
 )
+from .tolerances import FD_SAMPLE_MARGIN
 from .triangulation import check_structure_condition, load_surface
 from .volume import PyramidChart, relative_volume, volume_hessian
 
@@ -158,6 +161,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_jacobian_check(args) -> int:
+    if args.samples < 1:
+        raise DomainError("--samples must be at least 1")
     surface = load_surface(args.surface, strict=args.strict)
     rng = np.random.default_rng(args.seed)
     eta_zero = all(e.eta == 0.0 for e in surface.edges)
@@ -169,12 +174,11 @@ def cmd_jacobian_check(args) -> int:
     max_identity = 0.0
     max_det_dev = 0.0
     for _ in range(args.samples):
-        factor = sample_admissible(surface, rng, margin=args.margin)
-        J_chain = global_jacobian(surface, factor, blocks="chain")
-        max_sym = max(max_sym, J_chain.symmetry_residual())
+        factor = sample_admissible(surface, rng, margin=FD_SAMPLE_MARGIN)
+        max_sym = max(max_sym, chain_global_jacobian(surface, factor).symmetry_residual())
         J = global_jacobian(surface, factor)
         min_eig = min(min_eig, J.min_eigenvalue())
-        fd = fd_global_jacobian(surface, factor, h=args.h)
+        fd = fd_global_jacobian(surface, factor)
         dense = J.dense()
         scale = max(1.0, float(np.abs(dense).max()))
         max_fd_dev = max(max_fd_dev, float(np.abs(dense - fd).max()) / scale)
@@ -183,8 +187,7 @@ def cmd_jacobian_check(args) -> int:
             fe = FaceEta(*surface.face_etas(f))
             m = face_metric(ca, fe)
             det_closed = det_length_alpha_jacobian(ca, fe, m)
-            fd_face = _fd_length_jacobian(ca, fe, args.h)
-            det_fd = float(np.linalg.det(fd_face))
+            det_fd = float(np.linalg.det(length_jacobian_fd(ca, fe)))
             max_det_dev = max(
                 max_det_dev, abs(det_closed - det_fd) / max(1.0, abs(det_closed))
             )
@@ -203,27 +206,10 @@ def cmd_jacobian_check(args) -> int:
     return EXIT_OK
 
 
-def _fd_length_jacobian(alpha: CornerAlpha, eta: FaceEta, h: float) -> np.ndarray:
-    def lengths(a):
-        return np.array(
-            [
-                edge_length_alpha(a[0], a[1], eta.e_ij),
-                edge_length_alpha(a[0], a[2], eta.e_ik),
-                edge_length_alpha(a[1], a[2], eta.e_jk),
-            ]
-        )
-
-    base = list(alpha.as_tuple())
-    cols = []
-    for t in range(3):
-        hi, lo = list(base), list(base)
-        hi[t] += h
-        lo[t] -= h
-        cols.append((lengths(hi) - lengths(lo)) / (2.0 * h))
-    return np.column_stack(cols)
-
-
 def cmd_volume(args) -> int:
+    step = args.grid_step
+    if not 0.0 < step < math.inf:
+        raise DomainError("--grid-step must be positive and finite")
     eta = FaceEta(*args.eta)
     base = CornerAlpha(*args.base)
     chart = PyramidChart(eta=eta, base_alpha=base)
@@ -240,7 +226,6 @@ def cmd_volume(args) -> int:
         )
 
     emit(base, volume_hessian(chart, base))
-    step = args.grid_step
     ticks = []
     k = 1
     while k * step < 0.5 * math.pi:
@@ -327,13 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_strict(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("jacobian-check", help="sample admissible factors and report Jacobian residuals")
+    # no abbreviations: "--h" would otherwise abbreviate --help and exit 0
+    p = sub.add_parser("jacobian-check", allow_abbrev=False,
+                       help="sample admissible factors and report Jacobian residuals")
     p.add_argument("surface")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--h", type=float, default=1e-6, help="finite-difference step")
-    # interior default: the FD oracle degrades near the polytope facets
-    p.add_argument("--margin", type=float, default=1e-2, help="sampling inset margin")
     add_strict(p)
     p.set_defaults(func=cmd_jacobian_check)
 

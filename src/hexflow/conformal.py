@@ -26,8 +26,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .errors import DomainError, LengthMismatch, NotAdmissible, ParseError
-from .hexagon import CornerAlpha, FaceEta, face_jacobian_chain, face_metric, hexagon_angles
-from .kernel import FaceValues, edge_margins, face_kernel
+from .hexagon import CornerAlpha, FaceEta, central_difference, face_jacobian_chain
+from .kernel import FaceValues, edge_margins, face_arcs, face_kernel
 from .quadrature import line_integral
 from .tolerances import ADMISSIBILITY_EPS, FD_STEP
 from .triangulation import Surface
@@ -230,20 +230,17 @@ def curvature_from_lengths(s: Surface, lengths: dict[int, float]) -> np.ndarray:
 
     This bypasses the conformal parameterization entirely; useful for probing
     degenerating metrics whose factor-space preimage is beyond float
-    resolution.
+    resolution.  Raises DomainError unless every length is positive and
+    finite.
     """
     missing = {e.id for e in s.edges} - lengths.keys()
     if missing:
         raise LengthMismatch(f"lengths missing for edges {sorted(missing)}")
-    K = np.zeros(s.n_boundary)
-    for f in s.faces:
-        l_jk = lengths[f.edges[0]]
-        l_ik = lengths[f.edges[1]]
-        l_ij = lengths[f.edges[2]]
-        th = hexagon_angles(l_ij, l_ik, l_jk)[:3]
-        for slot, comp in enumerate(f.corners):
-            K[comp] += th[slot]
-    return K
+    # (l_ij, l_ik, l_jk) per face; face.edges[t] is opposite corner slot t
+    L = np.array([[lengths[e] for e in f.edges[::-1]] for f in s.faces], dtype=float)
+    if not np.all((L > 0.0) & (L < math.inf)):
+        raise DomainError("edge lengths must be positive and finite")
+    return _scatter_arcs(s, face_arcs(L, s.arrays.face_ids).arcs)
 
 
 @dataclass(frozen=True)
@@ -280,23 +277,10 @@ class GlobalJacobian:
         }
 
 
-def global_jacobian(
-    s: Surface, a: ConformalFactor, blocks: str = "closed"
-) -> GlobalJacobian:
-    """Assemble dK/da.  blocks selects the per-face formula: "closed" gives
-    exactly symmetric blocks, "chain" the raw chain-rule product (symmetric
-    only up to rounding; useful for verifying the closed form)."""
-    if blocks not in ("closed", "chain"):
-        raise ValueError(f"unknown block formula {blocks!r}")
+def global_jacobian(s: Surface, a: ConformalFactor) -> GlobalJacobian:
+    """Assemble dK/da from the kernel's exactly symmetric blocks."""
     _check_factors(s, a.alpha)
-    if blocks == "closed":
-        return _assemble(s, _faces(s, a.alpha, jacobian=True).jacobian)
-    chain = []
-    for f in s.faces:
-        ca = CornerAlpha(*(a.alpha[c] for c in f.corners))
-        fe = FaceEta(*s.face_etas(f))
-        chain.append(face_jacobian_chain(ca, fe, face_metric(ca, fe)))
-    return _assemble(s, np.array(chain).reshape(-1, 3, 3))
+    return _assemble(s, _faces(s, a.alpha, jacobian=True).jacobian)
 
 
 def _assemble(s: Surface, blocks: np.ndarray) -> GlobalJacobian:
@@ -306,21 +290,6 @@ def _assemble(s: Surface, blocks: np.ndarray) -> GlobalJacobian:
     data = np.bincount(slot, weights=blocks.ravel(), minlength=indices.size)
     n = s.n_boundary
     return GlobalJacobian(matrix=sp.csr_matrix((data, indices, indptr), shape=(n, n)), n=n)
-
-
-def fd_global_jacobian(s: Surface, a: ConformalFactor, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference oracle for the global curvature Jacobian."""
-    n = s.n_boundary
-    J = np.empty((n, n))
-    for c in range(n):
-        hi = a.alpha.copy()
-        lo = a.alpha.copy()
-        hi[c] += h
-        lo[c] -= h
-        K_hi = curvature(s, ConformalFactor(hi)).K
-        K_lo = curvature(s, ConformalFactor(lo)).K
-        J[:, c] = (K_hi - K_lo) / (2.0 * h)
-    return J
 
 
 def default_base_point(s: Surface) -> ConformalFactor:
@@ -398,6 +367,8 @@ def sample_admissible(
 ) -> ConformalFactor:
     """Rejection-sample a factor uniform in the inset box with every edge
     margin above `margin`."""
+    if not 0.0 <= margin < 0.25 * math.pi:
+        raise DomainError(f"sampling margin {margin!r} is not in [0, pi/4)")
     n = s.n_boundary
     for _ in range(max_tries):
         alpha = rng.uniform(margin, _HALF_PI - margin, size=n)
@@ -425,3 +396,23 @@ def curvature_dump(s: Surface, a: ConformalFactor) -> dict:
             str(eid): float(m) for eid, m in zip(report.edge_ids, report.margins)
         },
     }
+
+
+# References for the tests and `hexflow jacobian-check`, off every
+# evaluation path: nothing above calls them.
+
+
+def chain_global_jacobian(s: Surface, a: ConformalFactor) -> GlobalJacobian:
+    """dK/da assembled from the raw chain-rule blocks of the scalar
+    reference, symmetric only up to rounding."""
+    _check_factors(s, a.alpha)
+    chain = []
+    for f in s.faces:
+        ca = CornerAlpha(*(a.alpha[c] for c in f.corners))
+        chain.append(face_jacobian_chain(ca, FaceEta(*s.face_etas(f))))
+    return _assemble(s, np.array(chain))
+
+
+def fd_global_jacobian(s: Surface, a: ConformalFactor, h: float = FD_STEP) -> np.ndarray:
+    """Central-difference oracle for the global curvature Jacobian."""
+    return central_difference(lambda x: curvature(s, ConformalFactor(x)).K, a.alpha, h)

@@ -1,4 +1,4 @@
-"""Per-face kernel for right-angled hyperbolic hexagons.
+"""Scalar per-face reference for right-angled hyperbolic hexagons.
 
 A face carries three corner parameters a in (0, pi/2), three edge weights
 eta > -1, and the derived hexagon metric: side lengths
@@ -133,7 +133,10 @@ def edge_length_alpha(a_i: float, a_j: float, eta: float) -> float:
             f"at (a_i, a_j, eta) = ({a_i!r}, {a_j!r}, {eta!r})",
             deficit=margin,
         )
-    return acosh1p(margin / (math.sin(a_i) * math.sin(a_j)))
+    den = math.sin(a_i) * math.sin(a_j)
+    if den == 0.0:
+        raise DomainError(f"sin(a_i) sin(a_j) underflows at (a_i, a_j) = ({a_i!r}, {a_j!r})")
+    return acosh1p(margin / den)
 
 
 def edge_length_u(u_i: float, u_j: float, eta: float) -> float:
@@ -280,23 +283,35 @@ def face_jacobian_closed(
     )
 
 
+def central_difference(f, x, h: float = FD_STEP) -> np.ndarray:
+    """Central-difference Jacobian of the vector map f at the point x: column
+    c is (f(x + h e_c) - f(x - h e_c)) / (2h).  The one loop behind every
+    finite-difference oracle."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for c in range(x.size):
+        hi = x.copy()
+        lo = x.copy()
+        hi[c] += h
+        lo[c] -= h
+        cols.append((f(hi) - f(lo)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
 def face_jacobian_fd(alpha: CornerAlpha, eta: FaceEta, h: float = FD_STEP) -> np.ndarray:
     """Central-difference oracle for the angle Jacobian; raises NotAdmissible
     if a perturbed point leaves the admissible set."""
+    return central_difference(
+        lambda a: np.array(face_metric(CornerAlpha(*a), eta).angles), alpha.as_tuple(), h
+    )
 
-    def arcs(a: tuple[float, float, float]) -> np.ndarray:
-        m = face_metric(CornerAlpha(*a), eta)
-        return np.array(m.angles)
 
-    base = list(alpha.as_tuple())
-    cols = []
-    for t in range(3):
-        hi = list(base)
-        lo = list(base)
-        hi[t] += h
-        lo[t] -= h
-        cols.append((arcs(tuple(hi)) - arcs(tuple(lo))) / (2.0 * h))
-    return np.column_stack(cols)
+def length_jacobian_fd(alpha: CornerAlpha, eta: FaceEta, h: float = FD_STEP) -> np.ndarray:
+    """Central-difference oracle for d(l_ij, l_ik, l_jk) / d(a_i, a_j, a_k);
+    raises NotAdmissible if a perturbed point leaves the admissible set."""
+    return central_difference(
+        lambda a: np.array(face_metric(CornerAlpha(*a), eta).lengths), alpha.as_tuple(), h
+    )
 
 
 def det_length_alpha_jacobian(

@@ -75,6 +75,41 @@ def _check_faces(face_ids, checks) -> None:
             raise DomainError(f"face {name}: {what} not {qualifier}")
 
 
+def _arcs(lengths, face_ids):
+    # sinh(lengths), arcs and A, checked as face_kernel documents; for
+    # callers already inside np.errstate(all="ignore")
+    sh = np.sinh(lengths)
+    # cosh(th) - 1 = (cosh(l_a - l_b) + cosh(l_opp)) / (sinh(l_a) sinh(l_b))
+    # for th_i, th_j, th_k with (l_a, l_b, l_opp) = (ij, ik, jk),
+    # (ij, jk, ik), (ik, jk, ij)
+    t = (
+        np.cosh(lengths.take(_P, -1) - lengths.take(_Q, -1)) + np.cosh(lengths.take(_R, -1))
+    ) / (sh.take(_P, -1) * sh.take(_Q, -1))
+    arcs = _acosh1p(t)
+    A = sh[..., 0] * sh[..., 1] * np.sinh(arcs[..., 0])
+    # A NaN or infinite length makes some arc NaN, infinite or zero, so
+    # finite positive arcs and A cover the lengths too.
+    if not (np.isfinite(arcs.sum() + A.sum()) and arcs.min() > 0.0 and A.min() > 0.0):
+        _check_faces(
+            face_ids,
+            (
+                ("edge length", lengths, True),
+                ("boundary arc", arcs, True),
+                ("invariant A", A[..., None], True),
+            ),
+        )
+    return sh, arcs, A
+
+
+def face_arcs(lengths: np.ndarray, face_ids=None) -> FaceValues:
+    """The arc half of face_kernel: arcs and A from side lengths (l_ij, l_ik,
+    l_jk) of shape (..., F, 3), raising as face_kernel does.  Lengths are
+    tested only when an arc or A fails, so callers check their own."""
+    with np.errstate(all="ignore"):
+        _, arcs, A = _arcs(lengths, face_ids)
+    return FaceValues(lengths, arcs, A)
+
+
 def face_kernel(
     a: np.ndarray, eta: np.ndarray, jacobian: bool = False, face_ids=None
 ) -> FaceValues:
@@ -91,26 +126,7 @@ def face_kernel(
         # cosh(l) - 1 = (cos(a_p + a_q) + eta) / (sin(a_p) sin(a_q))
         t = (np.cos(a.take(_P, -1) + a.take(_Q, -1)) + eta) / (sa.take(_P, -1) * sa.take(_Q, -1))
         lengths = _acosh1p(t)
-        sh = np.sinh(lengths)
-        # cosh(th) - 1 = (cosh(l_a - l_b) + cosh(l_opp)) / (sinh(l_a) sinh(l_b))
-        # for th_i, th_j, th_k with (l_a, l_b, l_opp) = (ij, ik, jk),
-        # (ij, jk, ik), (ik, jk, ij)
-        t = (
-            np.cosh(lengths.take(_P, -1) - lengths.take(_Q, -1)) + np.cosh(lengths.take(_R, -1))
-        ) / (sh.take(_P, -1) * sh.take(_Q, -1))
-        arcs = _acosh1p(t)
-        A = sh[..., 0] * sh[..., 1] * np.sinh(arcs[..., 0])
-        # A NaN or infinite length makes some arc NaN, infinite or zero, so
-        # finite positive arcs and A cover the lengths too.
-        if not (np.isfinite(arcs.sum() + A.sum()) and arcs.min() > 0.0 and A.min() > 0.0):
-            _check_faces(
-                face_ids,
-                (
-                    ("edge length", lengths, True),
-                    ("boundary arc", arcs, True),
-                    ("invariant A", A[..., None], True),
-                ),
-            )
+        sh, arcs, A = _arcs(lengths, face_ids)
         if not jacobian:
             return FaceValues(lengths, arcs, A)
 

@@ -145,7 +145,9 @@ def velocity(method: str, s: float, K, Kbar, J=None) -> np.ndarray:
     The fractional flow with s = 0 or s = 1 dispatches to the ricci or
     calabi branch so the reduction identities hold exactly.  The calabi and
     fractional branches require the Jacobian to be positive definite and
-    raise JacobianNotPD (reporting the minimum eigenvalue) otherwise.
+    raise JacobianNotPD (reporting the minimum eigenvalue) otherwise.  The
+    fractional branch raises DomainError when J^s (K - Kbar) is not finite,
+    which a huge order s causes.
     """
     if method not in FLOW_METHODS:
         raise DomainError(f"unknown flow method {method!r}")
@@ -172,7 +174,11 @@ def velocity(method: str, s: float, K, Kbar, J=None) -> np.ndarray:
     r = K - Kbar
     if method == "calabi":
         return -(A @ r)
-    return -((V * w**s) @ (V.T @ r))
+    with np.errstate(all="ignore"):  # w**s may overflow; v is tested instead
+        v = -((V * w**s) @ (V.T @ r))
+    if not np.isfinite(v).all():
+        raise DomainError(f"fractional order s = {s!r}: J^s (K - Kbar) is not finite")
+    return v
 
 
 def _min_edge_margin(s: Surface, alpha: np.ndarray) -> float:
@@ -218,7 +224,8 @@ def run_flow(
 
     Dynamics never raise: the trace records a terminal status of Converged,
     MaxSteps, StalledStep (dt underflow) or JacobianNotPD.  Malformed inputs
-    (inadmissible a0, nonpositive Kbar) do raise.
+    (inadmissible a0, nonpositive Kbar, a fractional order s so large that
+    J^s (K - Kbar) is not finite) do raise.
     """
     Kbar = _target(s, Kbar)
     base = default_base_point(s)

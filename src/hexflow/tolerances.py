@@ -11,6 +11,10 @@ ADMISSIBILITY_EPS = 1e-12
 # Central-difference step of the finite-difference Jacobian oracles.
 FD_STEP = 1e-6
 
+# Edge-margin inset of the factors `hexflow jacobian-check` samples: the FD
+# oracles degrade near the polytope facets, where l ~ sqrt(margin).
+FD_SAMPLE_MARGIN = 1e-2
+
 # Gauss-Legendre line integrals: initial node count, node cap, and the
 # relative change between successive estimates that counts as converged.
 QUAD_INIT_NODES = 16

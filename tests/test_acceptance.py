@@ -15,6 +15,7 @@ from hexflow import (
     FaceEta,
     FlowConfig,
     PyramidChart,
+    chain_global_jacobian,
     curvature,
     curvature_from_lengths,
     default_base_point,
@@ -28,6 +29,7 @@ from hexflow import (
     face_metric,
     fd_global_jacobian,
     global_jacobian,
+    length_jacobian_fd,
     relative_volume,
     run_flow,
     sample_admissible,
@@ -74,7 +76,7 @@ def test_criterion_1_jacobian_symmetry():
     worst = 0.0
     for fixture, profile, s in each_surface():
         for a in seeded_samples(s, seed=1):
-            J = global_jacobian(s, a, blocks="chain")
+            J = chain_global_jacobian(s, a)
             worst = max(worst, J.symmetry_residual())
             assert J.symmetry_residual() <= 1e-10
     report(1, f"Jacobian symmetry residual <= 1e-10 (worst {worst:.2e})")
@@ -129,28 +131,10 @@ def test_criterion_4_zero_weight_identity():
 
 def test_criterion_5_determinant_formula():
     worst_dev = 0.0
-    h = 1e-6
     for fixture, profile, s in each_surface():
         for a in seeded_samples(s, seed=5, count=40, margin=1e-2):
             for _f, ca, fe, m in face_states(s, a):
-
-                def lengths(t):
-                    return np.array(
-                        [
-                            edge_length_alpha(t[0], t[1], fe.e_ij),
-                            edge_length_alpha(t[0], t[2], fe.e_ik),
-                            edge_length_alpha(t[1], t[2], fe.e_jk),
-                        ]
-                    )
-
-                base = list(ca.as_tuple())
-                cols = []
-                for t in range(3):
-                    hi, lo = list(base), list(base)
-                    hi[t] += h
-                    lo[t] -= h
-                    cols.append((lengths(hi) - lengths(lo)) / (2 * h))
-                det_fd = float(np.linalg.det(np.column_stack(cols)))
+                det_fd = float(np.linalg.det(length_jacobian_fd(ca, fe, h=1e-6)))
                 det = det_length_alpha_jacobian(ca, fe, m)
                 dev = abs(det - det_fd) / abs(det)
                 worst_dev = max(worst_dev, dev)

@@ -176,6 +176,10 @@ class TestFlow:
         fpath, tpath = self.setup_problem(factor_file, target_file)
         assert main(["flow", pants_path, fpath, tpath, *option]) == 2
 
+    def test_huge_fractional_order_exits_2(self, pants_path, factor_file, target_file):
+        fpath, tpath = self.setup_problem(factor_file, target_file)
+        assert main(["flow", pants_path, fpath, tpath, "--method", "fractional", "--s", "1000"]) == 2
+
     def test_writes_final_factor(self, pants_path, factor_file, target_file, tmp_path):
         fpath, tpath = self.setup_problem(factor_file, target_file)
         out = tmp_path / "final.json"
@@ -275,6 +279,15 @@ class TestJacobianCheck:
         main(["jacobian-check", pants_path, "--samples", "10", "--seed", "7"])
         assert capsys.readouterr().out == first
 
+    def test_zero_samples_exit_2(self, pants_path):
+        assert main(["jacobian-check", pants_path, "--samples", "0"]) == 2
+
+    @pytest.mark.parametrize("option", ["--h", "--margin"])
+    def test_removed_options_are_usage_errors(self, pants_path, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["jacobian-check", pants_path, option, "0"])
+        assert exc.value.code == 2
+
 
 class TestVolume:
     def test_grid(self, tmp_path):
@@ -305,6 +318,12 @@ class TestVolume:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+def test_volume_rejects_bad_grid_step(step):
+    args = ["volume", "--eta", "0", "0", "0", "--base", "0.5", "0.5", "0.5"]
+    assert main(args + [f"--grid-step={step}"]) == 2
 
 
 def test_version(capsys):

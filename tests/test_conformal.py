@@ -5,6 +5,7 @@ import pytest
 
 from hexflow import (
     ConformalFactor,
+    DomainError,
     Edge,
     Face,
     LengthMismatch,
@@ -12,6 +13,7 @@ from hexflow import (
     Surface,
     admissibility,
     calabi_energy,
+    chain_global_jacobian,
     curvature,
     curvature_from_lengths,
     default_base_point,
@@ -175,6 +177,14 @@ class TestCurvature:
         with pytest.raises(LengthMismatch):
             curvature_from_lengths(pants, {0: 1.0, 1: 1.0})
 
+    # lengths that are not positive and finite (all negative ones give
+    # positive arcs), and lengths whose sinh overflows
+    @pytest.mark.parametrize("l0,l", [(-1.0, -1.0), (-1.0, 1.0), (0.0, 1.0), (math.nan, 1.0),
+                                      (math.inf, 1.0), (800.0, 800.0)])
+    def test_from_lengths_rejects_bad_lengths(self, pants, l0, l):
+        with pytest.raises(DomainError):
+            curvature_from_lengths(pants, {0: l0, 1: l, 2: l})
+
 
 class TestGlobalJacobian:
     @pytest.mark.parametrize("fixture", ["f1", "f2"])
@@ -184,7 +194,7 @@ class TestGlobalJacobian:
         rng = np.random.default_rng(20)
         for _ in range(20):
             a = sample_admissible(s, rng)
-            J = global_jacobian(s, a, blocks="chain")
+            J = chain_global_jacobian(s, a)
             assert J.symmetry_residual() <= 1e-10
 
     @pytest.mark.parametrize("fixture", ["f1", "f2"])
@@ -206,6 +216,14 @@ class TestGlobalJacobian:
             fd = fd_global_jacobian(s, a)
             scale = max(1.0, np.abs(dense).max())
             assert np.abs(dense - fd).max() / scale < 1e-5
+
+    @pytest.mark.parametrize("fixture", ["f1", "f2"])
+    def test_chain_reference_matches_kernel(self, fixture):
+        s = load(fixture, "mixed")
+        a = reference_factor(s)
+        J = global_jacobian(s, a).dense()
+        chain = chain_global_jacobian(s, a).dense()
+        assert np.abs(chain - J).max() <= 1e-12 * np.abs(J).max()
 
     def test_repeated_corner_blocks_sum(self):
         # one face touching component 0 twice: row/col 0 accumulates the four
@@ -359,6 +377,12 @@ class TestCalabiEnergy:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             calabi_energy(np.ones(3), np.ones(2))
+
+
+@pytest.mark.parametrize("margin", [0.8, -0.1, math.nan])
+def test_sample_admissible_rejects_bad_margin(pants, margin):
+    with pytest.raises(DomainError):
+        sample_admissible(pants, np.random.default_rng(0), margin=margin)
 
 
 def test_sample_admissible_is_deterministic(sixhex_mixed):

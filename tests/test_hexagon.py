@@ -8,6 +8,7 @@ from hexflow import (
     DomainError,
     FaceEta,
     NotAdmissible,
+    central_difference,
     det_length_alpha_jacobian,
     det_lower_bound,
     diagonal_identity_residuals,
@@ -18,8 +19,9 @@ from hexflow import (
     face_jacobian_fd,
     face_metric,
     hexagon_angles,
+    length_jacobian_fd,
 )
-from hexflow.hexagon import cosine_law_residual
+from hexflow.hexagon import cosine_law_residual, length_alpha_jacobian
 
 ARCCOSH3 = math.acosh(3.0)
 
@@ -51,6 +53,11 @@ class TestEdgeLength:
         with pytest.raises(NotAdmissible) as err:
             edge_length_alpha(math.pi / 4, math.pi / 4, 0.0)
         assert err.value.deficit == pytest.approx(0.0, abs=1e-15)
+
+    def test_underflowing_sines_are_a_domain_error(self):
+        # sin(1e-170)^2 underflows to 0, as in the kernel's guard case
+        with pytest.raises(DomainError):
+            edge_length_alpha(1e-170, 1e-170, 0.5)
 
     def test_large_weight_value(self):
         got = edge_length_alpha(math.pi / 3, math.pi / 3, 2.0)
@@ -147,6 +154,23 @@ class TestHexagonAngles:
     def test_tiny_length_still_geometric(self):
         th_i = hexagon_angles(1e-250, 1.0, 1.0)[0]
         assert math.isfinite(th_i) and th_i > 500.0
+
+
+class TestCentralDifference:
+    def test_column_c_differentiates_coordinate_c(self):
+        # exact for quadratics up to rounding: d(x0 x1, x1^2)/dx at (2, 3)
+        J = central_difference(lambda x: np.array([x[0] * x[1], x[1] ** 2]), [2.0, 3.0], 1e-3)
+        assert np.allclose(J, [[3.0, 2.0], [0.0, 6.0]], rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("etas", ETA_TRIPLES)
+    def test_length_jacobian_fd_matches_closed_form(self, etas):
+        rng = np.random.default_rng(108)
+        eta = FaceEta(*etas)
+        for _ in range(20):
+            alpha = random_admissible_alpha(rng, eta, margin=1e-2)
+            exact = length_alpha_jacobian(alpha, eta, face_metric(alpha, eta))
+            F = length_jacobian_fd(alpha, eta)
+            assert np.abs(F - exact).max() / max(1.0, np.abs(exact).max()) < 1e-6
 
 
 class TestMetric:
@@ -276,27 +300,9 @@ class TestLengthJacobianDeterminant:
     def test_matches_fd_determinant(self, etas):
         rng = np.random.default_rng(106)
         eta = FaceEta(*etas)
-        h = 1e-6
         for _ in range(50):
             alpha = random_admissible_alpha(rng, eta)
-
-            def lengths(a):
-                return np.array(
-                    [
-                        edge_length_alpha(a[0], a[1], eta.e_ij),
-                        edge_length_alpha(a[0], a[2], eta.e_ik),
-                        edge_length_alpha(a[1], a[2], eta.e_jk),
-                    ]
-                )
-
-            base = list(alpha.as_tuple())
-            cols = []
-            for t in range(3):
-                hi, lo = list(base), list(base)
-                hi[t] += h
-                lo[t] -= h
-                cols.append((lengths(hi) - lengths(lo)) / (2 * h))
-            det_fd = float(np.linalg.det(np.column_stack(cols)))
+            det_fd = float(np.linalg.det(length_jacobian_fd(alpha, eta, h=1e-6)))
             det = det_length_alpha_jacobian(alpha, eta)
             assert det == pytest.approx(det_fd, rel=1e-6)
 

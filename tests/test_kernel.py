@@ -24,7 +24,7 @@ from hexflow import (
     volume_hessian,
 )
 from hexflow.conformal import _segment_curvature_integral
-from hexflow.kernel import face_kernel
+from hexflow.kernel import face_arcs, face_kernel
 from hexflow.quadrature import line_integral
 from hexflow.tolerances import QUAD_INIT_NODES, QUAD_MAX_NODES, QUAD_REL_TOL
 from conftest import SURFACE_FILES, load, reference_factor
@@ -110,6 +110,14 @@ def test_kernel_jacobian_exactly_symmetric(fixture, profile, point):
     assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
     J = global_jacobian(s, a).dense()
     assert np.array_equal(J, J.T)
+
+
+def test_face_arcs_is_the_arc_half_of_the_kernel():
+    s = load("f2", "mixed")
+    full = face_kernel(reference_factor(s).alpha[s.arrays.corners], s.arrays.etas)
+    arcs = face_arcs(full.lengths)
+    assert np.array_equal(arcs.arcs, full.arcs)
+    assert np.array_equal(arcs.A, full.A)
 
 
 def test_batch_axes_match_single_points():

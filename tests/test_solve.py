@@ -151,6 +151,12 @@ class TestVelocity:
             ) / (2 * h)
             assert v[i] == pytest.approx(-g, abs=1e-8)
 
+    def test_non_finite_fractional_power_rejected(self):
+        # w**s underflows to 0 and overflows to inf: J^s r is NaN
+        J = np.diag([1e-3, 1e3])
+        with pytest.raises(DomainError, match="s = 1000"):
+            velocity("fractional", 1000.0, np.ones(2), np.full(2, 2.0), J)
+
     def test_unknown_method(self, state):
         K, Kbar, J = state
         with pytest.raises(DomainError):
