@@ -29,7 +29,7 @@ from .errors import DomainError, LengthMismatch, NotAdmissible, ParseError
 from .hexagon import CornerAlpha, FaceEta, central_difference, face_jacobian_chain
 from .kernel import FaceValues, edge_margins, face_arcs, face_kernel
 from .quadrature import line_integral
-from .tolerances import ADMISSIBILITY_EPS, FD_STEP
+from .tolerances import ADMISSIBILITY_EPS
 from .triangulation import Surface
 
 _HALF_PI = 0.5 * math.pi
@@ -240,7 +240,9 @@ def curvature_from_lengths(s: Surface, lengths: dict[int, float]) -> np.ndarray:
     L = np.array([[lengths[e] for e in f.edges[::-1]] for f in s.faces], dtype=float)
     if not np.all((L > 0.0) & (L < math.inf)):
         raise DomainError("edge lengths must be positive and finite")
-    return _scatter_arcs(s, face_arcs(L, s.arrays.face_ids).arcs)
+    with np.errstate(all="ignore"):
+        _, arcs, _ = face_arcs(L, s.arrays.face_ids)
+    return _scatter_arcs(s, arcs)
 
 
 @dataclass(frozen=True)
@@ -413,6 +415,6 @@ def chain_global_jacobian(s: Surface, a: ConformalFactor) -> GlobalJacobian:
     return _assemble(s, np.array(chain))
 
 
-def fd_global_jacobian(s: Surface, a: ConformalFactor, h: float = FD_STEP) -> np.ndarray:
+def fd_global_jacobian(s: Surface, a: ConformalFactor) -> np.ndarray:
     """Central-difference oracle for the global curvature Jacobian."""
-    return central_difference(lambda x: curvature(s, ConformalFactor(x)).K, a.alpha, h)
+    return central_difference(lambda x: curvature(s, ConformalFactor(x)).K, a.alpha)

@@ -302,16 +302,27 @@ def face_jacobian_fd(alpha: CornerAlpha, eta: FaceEta, h: float = FD_STEP) -> np
     """Central-difference oracle for the angle Jacobian; raises NotAdmissible
     if a perturbed point leaves the admissible set."""
     return central_difference(
-        lambda a: np.array(face_metric(CornerAlpha(*a), eta).angles), alpha.as_tuple(), h
+        lambda a: np.array(face_metric(CornerAlpha(*a.tolist()), eta).angles), alpha.as_tuple(), h
     )
 
 
-def length_jacobian_fd(alpha: CornerAlpha, eta: FaceEta, h: float = FD_STEP) -> np.ndarray:
+def length_jacobian_fd(alpha: CornerAlpha, eta: FaceEta) -> np.ndarray:
     """Central-difference oracle for d(l_ij, l_ik, l_jk) / d(a_i, a_j, a_k);
     raises NotAdmissible if a perturbed point leaves the admissible set."""
-    return central_difference(
-        lambda a: np.array(face_metric(CornerAlpha(*a), eta).lengths), alpha.as_tuple(), h
-    )
+
+    def lengths(a):
+        a_i, a_j, a_k = a.tolist()
+        sides = ((a_i, a_j, eta.e_ij), (a_i, a_k, eta.e_ik), (a_j, a_k, eta.e_jk))
+        return np.array([edge_length_alpha(*side) for side in sides])
+
+    return central_difference(lengths, alpha.as_tuple())
+
+
+def _det_denominator(alpha: CornerAlpha, m: HexagonMetric) -> float:
+    # sinh(l_ij) sinh(l_ik) sinh(l_jk) sin^3(a_i) sin^3(a_j) sin^3(a_k), shared
+    # by det_length_alpha_jacobian and det_lower_bound
+    s_i, s_j, s_k = (math.sin(a) for a in alpha.as_tuple())
+    return math.sinh(m.l_ij) * math.sinh(m.l_ik) * math.sinh(m.l_jk) * s_i**3 * s_j**3 * s_k**3
 
 
 def det_length_alpha_jacobian(
@@ -329,15 +340,7 @@ def det_length_alpha_jacobian(
         + eta.gamma_j * c_j * (c_i**2 + c_k**2)
         + eta.gamma_k * c_k * (c_i**2 + c_j**2)
     )
-    den = (
-        math.sinh(m.l_ij)
-        * math.sinh(m.l_ik)
-        * math.sinh(m.l_jk)
-        * math.sin(a_i) ** 3
-        * math.sin(a_j) ** 3
-        * math.sin(a_k) ** 3
-    )
-    return num / den
+    return num / _det_denominator(alpha, m)
 
 
 def det_lower_bound(
@@ -357,15 +360,7 @@ def det_lower_bound(
         * (1.0 + eta.e_ik)
         * (1.0 + eta.e_jk)
     )
-    den = (
-        math.sinh(m.l_ij)
-        * math.sinh(m.l_ik)
-        * math.sinh(m.l_jk)
-        * math.sin(a_i) ** 3
-        * math.sin(a_j) ** 3
-        * math.sin(a_k) ** 3
-    )
-    return num / den
+    return num / _det_denominator(alpha, m)
 
 
 def diagonal_identity_residuals(

@@ -75,9 +75,10 @@ def _check_faces(face_ids, checks) -> None:
             raise DomainError(f"face {name}: {what} not {qualifier}")
 
 
-def _arcs(lengths, face_ids):
-    # sinh(lengths), arcs and A, checked as face_kernel documents; for
-    # callers already inside np.errstate(all="ignore")
+def face_arcs(lengths: np.ndarray, face_ids=None):
+    """The arc half of face_kernel: (sinh(lengths), arcs, A) from side
+    lengths (l_ij, l_ik, l_jk) of shape (..., F, 3), raising as face_kernel
+    does when an arc or A fails.  Call it inside np.errstate(all="ignore")."""
     sh = np.sinh(lengths)
     # cosh(th) - 1 = (cosh(l_a - l_b) + cosh(l_opp)) / (sinh(l_a) sinh(l_b))
     # for th_i, th_j, th_k with (l_a, l_b, l_opp) = (ij, ik, jk),
@@ -101,15 +102,6 @@ def _arcs(lengths, face_ids):
     return sh, arcs, A
 
 
-def face_arcs(lengths: np.ndarray, face_ids=None) -> FaceValues:
-    """The arc half of face_kernel: arcs and A from side lengths (l_ij, l_ik,
-    l_jk) of shape (..., F, 3), raising as face_kernel does.  Lengths are
-    tested only when an arc or A fails, so callers check their own."""
-    with np.errstate(all="ignore"):
-        _, arcs, A = _arcs(lengths, face_ids)
-    return FaceValues(lengths, arcs, A)
-
-
 def face_kernel(
     a: np.ndarray, eta: np.ndarray, jacobian: bool = False, face_ids=None
 ) -> FaceValues:
@@ -126,7 +118,7 @@ def face_kernel(
         # cosh(l) - 1 = (cos(a_p + a_q) + eta) / (sin(a_p) sin(a_q))
         t = (np.cos(a.take(_P, -1) + a.take(_Q, -1)) + eta) / (sa.take(_P, -1) * sa.take(_Q, -1))
         lengths = _acosh1p(t)
-        sh, arcs, A = _arcs(lengths, face_ids)
+        sh, arcs, A = face_arcs(lengths, face_ids)
         if not jacobian:
             return FaceValues(lengths, arcs, A)
 

@@ -146,8 +146,8 @@ def velocity(method: str, s: float, K, Kbar, J=None) -> np.ndarray:
     calabi branch so the reduction identities hold exactly.  The calabi and
     fractional branches require the Jacobian to be positive definite and
     raise JacobianNotPD (reporting the minimum eigenvalue) otherwise.  The
-    fractional branch raises DomainError when J^s (K - Kbar) is not finite,
-    which a huge order s causes.
+    fractional branch raises DomainError when J^s (K - Kbar) is not finite:
+    the order s is too large for the eigenvalues of J.
     """
     if method not in FLOW_METHODS:
         raise DomainError(f"unknown flow method {method!r}")
@@ -223,9 +223,10 @@ def run_flow(
     """Integrate the configured flow from a0 toward curvature Kbar.
 
     Dynamics never raise: the trace records a terminal status of Converged,
-    MaxSteps, StalledStep (dt underflow) or JacobianNotPD.  Malformed inputs
-    (inadmissible a0, nonpositive Kbar, a fractional order s so large that
-    J^s (K - Kbar) is not finite) do raise.
+    MaxSteps, StalledStep (dt underflow, or J^s (K - Kbar) not finite after
+    the first step) or JacobianNotPD.  Malformed inputs (inadmissible a0,
+    nonpositive Kbar, a fractional order s so large that J^s (K - Kbar) is
+    not finite at a0) do raise.
     """
     Kbar = _target(s, Kbar)
     base = default_base_point(s)
@@ -262,6 +263,11 @@ def run_flow(
             v = velocity(cfg.method, cfg.s, K, Kbar, J)
         except JacobianNotPD:
             trace.status = JACOBIAN_NOT_PD
+            return ConformalFactor(alpha), trace
+        except DomainError:
+            if step == 1:
+                raise
+            trace.status = STALLED_STEP
             return ConformalFactor(alpha), trace
 
         guarded = _guarded_step(s, alpha, v, dt, monotone)

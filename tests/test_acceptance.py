@@ -106,7 +106,7 @@ def test_criterion_3_closed_form_vs_fd():
                 worst_face = max(worst_face, dev)
                 assert dev < 1e-5
             dense = global_jacobian(s, a).dense()
-            fd = fd_global_jacobian(s, a, h=1e-6)
+            fd = fd_global_jacobian(s, a)
             dev = np.abs(dense - fd).max() / max(1.0, np.abs(dense).max())
             worst_global = max(worst_global, dev)
             assert dev < 1e-5
@@ -134,7 +134,7 @@ def test_criterion_5_determinant_formula():
     for fixture, profile, s in each_surface():
         for a in seeded_samples(s, seed=5, count=40, margin=1e-2):
             for _f, ca, fe, m in face_states(s, a):
-                det_fd = float(np.linalg.det(length_jacobian_fd(ca, fe, h=1e-6)))
+                det_fd = float(np.linalg.det(length_jacobian_fd(ca, fe)))
                 det = det_length_alpha_jacobian(ca, fe, m)
                 dev = abs(det - det_fd) / abs(det)
                 worst_dev = max(worst_dev, dev)

@@ -292,6 +292,16 @@ class TestRunFlow:
         _, trace = run_flow(pants, a0, Kbar, FlowConfig(method="calabi"))
         assert trace.status == "JacobianNotPD"
 
+    def test_power_overflow_after_first_step_stalls(self, pants, monkeypatch):
+        # J^s (K - Kbar) is finite at a0 and overflows from the second step
+        # on: the run ends as StalledStep and keeps its first step.
+        _, Kbar, a0 = round_trip_problem(pants)
+        jacobians = iter([np.eye(3), np.diag([1.0, 1.0, 1e200])])
+        monkeypatch.setattr(hexflow.solve, "global_jacobian", lambda s, a: next(jacobians))
+        _, trace = run_flow(pants, a0, Kbar, FlowConfig(method="fractional", s=2.0))
+        assert trace.status == STALLED_STEP
+        assert len(trace.rows) == 2
+
     def test_structure_condition_flagged(self):
         from hexflow import pair_of_pants
 
