@@ -57,6 +57,7 @@ from .conformal import (
     curvature_from_lengths,
     default_base_point,
     energy,
+    factor_margin,
     fd_global_jacobian,
     global_jacobian,
     load_factor,

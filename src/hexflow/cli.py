@@ -10,6 +10,7 @@ shortest round-trip decimal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -61,6 +62,9 @@ EXIT_INADMISSIBLE = 3
 EXIT_NONCONVERGED = 4
 EXIT_NOT_PD = 5
 EXIT_NOT_ATTAINED = 6
+
+# `hexflow volume` grids have at most this many ticks per axis (10^6 points).
+VOLUME_MAX_TICKS = 100
 
 
 def _fmt(x: float) -> str:
@@ -210,6 +214,8 @@ def cmd_volume(args) -> int:
     step = args.grid_step
     if not 0.0 < step < math.inf:
         raise DomainError("--grid-step must be positive and finite")
+    if (VOLUME_MAX_TICKS + 1) * step < 0.5 * math.pi:
+        raise DomainError(f"--grid-step {step!r} gives over {VOLUME_MAX_TICKS} ticks per axis")
     eta = FaceEta(*args.eta)
     base = CornerAlpha(*args.base)
     chart = PyramidChart(eta=eta, base_alpha=base)
@@ -250,6 +256,7 @@ def cmd_volume(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first call, then shared by every main()
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hexflow",

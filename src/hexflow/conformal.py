@@ -29,7 +29,7 @@ from .errors import DomainError, LengthMismatch, NotAdmissible, ParseError
 from .hexagon import CornerAlpha, FaceEta, central_difference, face_jacobian_chain
 from .kernel import FaceValues, edge_margins, face_arcs, face_kernel
 from .quadrature import line_integral
-from .tolerances import ADMISSIBILITY_EPS
+from .tolerances import ADMISSIBILITY_EPS, SAMPLE_MAX_TRIES
 from .triangulation import Surface
 
 _HALF_PI = 0.5 * math.pi
@@ -127,8 +127,28 @@ class AdmissibilityReport:
         return float(self.margins.min()) if self.margins.size else math.inf
 
 
-def _report(s: Surface, alpha: np.ndarray, margins: np.ndarray) -> AdmissibilityReport:
-    arrays = s.arrays
+def _check_length(s: Surface, alpha: np.ndarray) -> None:
+    if alpha.shape[-1] != s.n_boundary:
+        raise LengthMismatch(f"factor has {alpha.shape[-1]} components, surface has {s.n_boundary}")
+
+
+def factor_margin(s: Surface, alpha: np.ndarray) -> float:
+    """The admissibility gate: the smallest edge margin over factors alpha of
+    shape (n,) or (N, n), or -inf when a component leaves the open box
+    (0, pi/2) (NaN included).  Raises LengthMismatch unless the last axis
+    has n_boundary components.  Every test of whether a point may be
+    evaluated compares this one number with its threshold."""
+    _check_length(s, alpha)
+    if not (alpha.min() > 0.0 and alpha.max() < _HALF_PI):
+        return -math.inf
+    return float(np.min(edge_margins(s.arrays, alpha), initial=math.inf))
+
+
+def admissibility(s: Surface, a: ConformalFactor) -> AdmissibilityReport:
+    """Evaluate every edge's admissibility margin for a factor."""
+    alpha, arrays = a.alpha, s.arrays
+    _check_length(s, alpha)
+    margins = edge_margins(arrays, alpha)
     dist = float(np.min(np.minimum(alpha, _HALF_PI - alpha))) if alpha.size else math.inf
     capped = arrays.edge_etas <= 1.0
     if capped.any():
@@ -148,46 +168,22 @@ def _report(s: Surface, alpha: np.ndarray, margins: np.ndarray) -> Admissibility
     )
 
 
-def admissibility(s: Surface, a: ConformalFactor) -> AdmissibilityReport:
-    """Evaluate every edge's admissibility margin for a factor."""
-    return _report(s, a.alpha, edge_margins(s.arrays, a.alpha))
-
-
-def _raise_inadmissible(report: AdmissibilityReport):
-    raise NotAdmissible(
-        f"factor inadmissible: min margin {report.min_margin:.3e} "
-        f"at edge {report.nearest_edge}",
-        deficit=report.min_margin,
-        edge_id=report.nearest_edge,
-        report=report,
-    )
-
-
-def require_admissible(s: Surface, a: ConformalFactor) -> AdmissibilityReport:
-    report = admissibility(s, a)
-    if not report.admissible:
-        _raise_inadmissible(report)
-    return report
-
-
 def _check_factors(s: Surface, alpha: np.ndarray) -> None:
-    """The box check of ConformalFactor and the margin check of
-    require_admissible, on factors alpha of shape (n,) or (N, n) at once;
-    raises their error (NotAdmissible with the report attached) for the
-    first factor that fails."""
-    margins = edge_margins(s.arrays, alpha)
-    if not (
-        alpha.min() > 0.0
-        and alpha.max() < _HALF_PI
-        and np.min(margins, initial=math.inf) > ADMISSIBILITY_EPS
-    ):
-        alpha = alpha.reshape(-1, s.n_boundary)
-        margins = margins.reshape(alpha.shape[0], -1)
-        ok = np.all((alpha > 0.0) & (alpha < _HALF_PI), axis=1)
-        ok &= np.all(margins > ADMISSIBILITY_EPS, axis=1)
-        k = int(np.argmin(ok))
-        ConformalFactor(alpha[k])  # raises DomainError outside the box
-        _raise_inadmissible(_report(s, alpha[k], margins[k]))
+    """Pass factors alpha of shape (n,) or (N, n) whose factor_margin clears
+    ADMISSIBILITY_EPS; otherwise raise for the first row that does not:
+    DomainError outside the box, else NotAdmissible with its report."""
+    if factor_margin(s, alpha) <= ADMISSIBILITY_EPS:
+        for row in alpha.reshape(-1, s.n_boundary):
+            if factor_margin(s, row) <= ADMISSIBILITY_EPS:
+                # ConformalFactor raises DomainError outside the box
+                report = admissibility(s, ConformalFactor(row))
+                raise NotAdmissible(
+                    f"factor inadmissible: min margin {report.min_margin:.3e} "
+                    f"at edge {report.nearest_edge}",
+                    deficit=report.min_margin,
+                    edge_id=report.nearest_edge,
+                    report=report,
+                )
 
 
 def _faces(s: Surface, alpha: np.ndarray, jacobian: bool = False) -> FaceValues:
@@ -328,8 +324,8 @@ def energy(s: Surface, a: ConformalFactor, base: ConformalFactor | None = None) 
     dK/da; the segment stays admissible because the region is convex)."""
     if base is None:
         base = default_base_point(s)
-    require_admissible(s, a)
-    require_admissible(s, base)
+    _check_factors(s, a.alpha)
+    _check_factors(s, base.alpha)
     return _segment_curvature_integral(s, base.alpha, a.alpha)
 
 
@@ -362,23 +358,19 @@ def calabi_energy(K, Kbar) -> float:
 
 
 def sample_admissible(
-    s: Surface,
-    rng: np.random.Generator,
-    margin: float = 1e-4,
-    max_tries: int = 100_000,
+    s: Surface, rng: np.random.Generator, margin: float = 1e-4
 ) -> ConformalFactor:
     """Rejection-sample a factor uniform in the inset box with every edge
-    margin above `margin`."""
+    margin above `margin`, in at most SAMPLE_MAX_TRIES draws."""
     if not 0.0 <= margin < 0.25 * math.pi:
         raise DomainError(f"sampling margin {margin!r} is not in [0, pi/4)")
     n = s.n_boundary
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_MAX_TRIES):
         alpha = rng.uniform(margin, _HALF_PI - margin, size=n)
-        cand = ConformalFactor(alpha)
-        if admissibility(s, cand).min_margin > margin:
-            return cand
+        if factor_margin(s, alpha) > margin:
+            return ConformalFactor(alpha)
     raise NotAdmissible(
-        f"no admissible sample found in {max_tries} tries; "
+        f"no admissible sample found in {SAMPLE_MAX_TRIES} tries; "
         "pass an explicit factor file instead",
         deficit=None,
     )
@@ -386,17 +378,16 @@ def sample_admissible(
 
 def curvature_dump(s: Surface, a: ConformalFactor) -> dict:
     """JSON-ready dump of curvature, Jacobian triplets and edge margins, from
-    one admissibility check and one kernel run."""
-    report = require_admissible(s, a)
+    the admissibility gate and one kernel run."""
+    _check_factors(s, a.alpha)
     faces = _faces(s, a.alpha, jacobian=True)
     K = _scatter_arcs(s, faces.arcs)
     J = _assemble(s, faces.jacobian)
+    margins = edge_margins(s.arrays, a.alpha)
     return {
         "K": [float(k) for k in K],
         "jacobian": J.to_coo_dict(),
-        "margins": {
-            str(eid): float(m) for eid, m in zip(report.edge_ids, report.margins)
-        },
+        "margins": {str(eid): float(m) for eid, m in zip(s.arrays.edge_ids, margins)},
     }
 
 

@@ -286,7 +286,9 @@ def face_jacobian_closed(
 def central_difference(f, x, h: float = FD_STEP) -> np.ndarray:
     """Central-difference Jacobian of the vector map f at the point x: column
     c is (f(x + h e_c) - f(x - h e_c)) / (2h).  The one loop behind every
-    finite-difference oracle."""
+    finite-difference oracle; raises DomainError unless 0 < h < inf."""
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"finite-difference step {h!r} must be positive and finite")
     x = np.asarray(x, dtype=float)
     cols = []
     for c in range(x.size):

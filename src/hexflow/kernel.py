@@ -10,8 +10,8 @@ with closed-form off-diagonal entries and chain-rule diagonal entries.
 Inputs carry any leading batch axes, so one call covers every node of a
 quadrature level.
 
-The kernel does not check admissibility; callers check the box and the
-edge margins first (`edge_margins`).
+The kernel does not check admissibility; callers pass every point through
+the gate `conformal.factor_margin` (built on `edge_margins`) first.
 """
 
 from __future__ import annotations

@@ -32,23 +32,22 @@ from .conformal import (
     calabi_energy,
     curvature,
     default_base_point,
+    factor_margin,
     global_jacobian,
     potential,
     _segment_curvature_integral,
 )
 from .errors import DomainError, JacobianNotPD, NotAttained, NotSPD
-from .kernel import edge_margins
 from .tolerances import (
     ARMIJO,
     DT_CAP_FACTOR,
+    MULTISTART_TOL,
     STEP_FLOOR,
     STEP_GROW_AFTER,
     STEP_MARGIN,
     STEP_SHRINK,
 )
 from .triangulation import Surface, structure_condition_holds
-
-_HALF_PI = 0.5 * math.pi
 
 FLOW_METHODS = ("ricci", "calabi", "fractional")
 
@@ -181,14 +180,6 @@ def velocity(method: str, s: float, K, Kbar, J=None) -> np.ndarray:
     return v
 
 
-def _min_edge_margin(s: Surface, alpha: np.ndarray) -> float:
-    return float(np.min(edge_margins(s.arrays, alpha), initial=math.inf))
-
-
-def _in_open_box(alpha: np.ndarray) -> bool:
-    return bool(np.all((alpha > 0.0) & (alpha < _HALF_PI)))
-
-
 def _target(s: Surface, Kbar) -> np.ndarray:
     Kbar = np.asarray(getattr(Kbar, "K", Kbar), dtype=float)
     if Kbar.shape != (s.n_boundary,) or not np.all(Kbar > 0.0):
@@ -207,12 +198,11 @@ def _guarded_step(s: Surface, alpha: np.ndarray, d: np.ndarray, step: float, acc
     """
     while step >= STEP_FLOOR:
         trial = alpha + step * d
-        if _in_open_box(trial):
-            margin = _min_edge_margin(s, trial)
-            if margin >= STEP_MARGIN:
-                value = accept(trial, step)
-                if value is not None:
-                    return trial, step, margin, value
+        margin = factor_margin(s, trial)  # -inf outside the box
+        if margin >= STEP_MARGIN:
+            value = accept(trial, step)
+            if value is not None:
+                return trial, step, margin, value
         step *= STEP_SHRINK
     return None
 
@@ -237,7 +227,7 @@ def run_flow(
     resid = float(np.max(np.abs(K - Kbar)))
     cal = calabi_energy(K, Kbar)
     pot = potential(s, ConformalFactor(alpha), Kbar, base)
-    trace.rows.append((0, 0.0, 0.0, resid, cal, pot, _min_edge_margin(s, alpha)))
+    trace.rows.append((0, 0.0, 0.0, resid, cal, pot, factor_margin(s, alpha)))
 
     if resid <= cfg.tol:
         trace.status = CONVERGED
@@ -300,12 +290,12 @@ def run_flow(
     return ConformalFactor(alpha), trace
 
 
-def measured_decay_rate(trace: RunLog, tail_floor: float = 0.0) -> float:
+def measured_decay_rate(trace: RunLog) -> float:
     """Least-squares rate r of resid ~ C exp(-r t) over the trace rows with
-    resid above tail_floor; positive means geometric decay."""
+    positive resid; positive means geometric decay."""
     t = trace.column("t")
     resid = trace.column("resid_inf")
-    keep = resid > tail_floor
+    keep = resid > 0.0
     t, resid = t[keep], resid[keep]
     if t.size < 2:
         return math.nan
@@ -346,7 +336,7 @@ def solve_prescribed(
     K = curvature(s, ConformalFactor(alpha)).K
     pot = potential(s, ConformalFactor(alpha), Kbar, base)
     resid = float(np.max(np.abs(K - Kbar)))
-    log.rows.append((0, resid, 0.0, pot, _min_edge_margin(s, alpha), False))
+    log.rows.append((0, resid, 0.0, pot, factor_margin(s, alpha), False))
     if resid <= cfg.tol:
         log.status = CONVERGED
         return ConformalFactor(alpha), log
@@ -384,7 +374,7 @@ def solve_prescribed(
             log.status = NOT_ATTAINED
             raise NotAttained(
                 f"line search stalled at iteration {it} with residual "
-                f"{resid:.3e} and min margin {_min_edge_margin(s, alpha):.3e}; "
+                f"{resid:.3e} and min margin {factor_margin(s, alpha):.3e}; "
                 "no admissible factor appears to realize this target",
                 log=log,
             )
@@ -402,14 +392,11 @@ def solve_prescribed(
 
 
 def solve_prescribed_multistart(
-    s: Surface,
-    starts,
-    Kbar,
-    cfg: NewtonConfig | None = None,
-    consistency_tol: float = 1e-8,
+    s: Surface, starts, Kbar, cfg: NewtonConfig | None = None
 ) -> ConformalFactor:
-    """Solve from several starts and assert the solutions coincide (they
-    must: the potential is strictly convex, so the solution is unique)."""
+    """Solve from several starts and assert the solutions coincide to within
+    MULTISTART_TOL (they must: the potential is strictly convex, so the
+    solution is unique)."""
     solutions = []
     for a0 in starts:
         factor, log = solve_prescribed(s, a0, Kbar, cfg)
@@ -419,9 +406,9 @@ def solve_prescribed_multistart(
     ref = solutions[0]
     for other in solutions[1:]:
         spread = float(np.max(np.abs(other - ref)))
-        if spread > consistency_tol:
+        if spread > MULTISTART_TOL:
             raise AssertionError(
                 f"multi-start solutions disagree by {spread:.3e} "
-                f"(> {consistency_tol:g}); uniqueness violated"
+                f"(> {MULTISTART_TOL:g}); uniqueness violated"
             )
     return ConformalFactor(ref)

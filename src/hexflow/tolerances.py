@@ -8,6 +8,13 @@ All values are chosen for IEEE-754 double precision.
 # sinh(l) stays bounded away from zero.
 ADMISSIBILITY_EPS = 1e-12
 
+# Draws `sample_admissible` makes before it gives up.
+SAMPLE_MAX_TRIES = 100_000
+
+# Largest distance (max norm) allowed between the solutions that
+# `solve_prescribed_multistart` finds from different starts.
+MULTISTART_TOL = 1e-8
+
 # Central-difference step of the finite-difference Jacobian oracles.
 FD_STEP = 1e-6
 

@@ -331,3 +331,15 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "hexflow" in capsys.readouterr().out
+
+
+def test_volume_rejects_oversized_grid():
+    # about 3.9e9 points; rejected before a single tick is built
+    args = ["volume", "--eta", "0", "0", "0", "--base", "0.5", "0.5", "0.5"]
+    assert main(args + ["--grid-step", "1e-3"]) == 2
+
+
+def test_parser_is_built_once():
+    from hexflow.cli import build_parser
+
+    assert build_parser() is build_parser()

@@ -322,3 +322,9 @@ class TestLengthJacobianDeterminant:
             assert det > 0.0
             assert bound > 0.0
             assert det >= bound - 1e-9
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-6, math.nan])
+def test_central_difference_rejects_bad_step(h):
+    with pytest.raises(DomainError):
+        face_jacobian_fd(CornerAlpha(0.4, 0.5, 0.6), FaceEta(0.0, 0.0, 0.0), h=h)
