@@ -58,6 +58,7 @@ from .conformal import (
     default_base_point,
     energy,
     factor_margin,
+    factor_margins,
     fd_global_jacobian,
     global_jacobian,
     load_factor,
@@ -76,6 +77,6 @@ from .solve import (
     spd_power,
     velocity,
 )
-from .volume import PyramidChart, relative_volume, volume_gradient, volume_hessian
+from .volume import PyramidChart, relative_volume, volume_gradient, volume_grid, volume_hessian
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -54,7 +54,7 @@ from .solve import (
 )
 from .tolerances import FD_SAMPLE_MARGIN
 from .triangulation import check_structure_condition, load_surface
-from .volume import PyramidChart, relative_volume, volume_hessian
+from .volume import PyramidChart, relative_volume, volume_grid, volume_hessian
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -137,10 +137,9 @@ def cmd_flow(args) -> int:
         trace.write_csv(args.trace)
     if args.out:
         save_factor(result, args.out)
-    last = trace.rows[-1]
     print(
-        f"status={trace.status} steps={last[0]} t={_fmt(last[1])} "
-        f"resid_inf={_fmt(last[3])}"
+        f"status={trace.status} steps={trace.last('step')} t={_fmt(trace.last('t'))} "
+        f"resid_inf={_fmt(trace.last('resid_inf'))}"
     )
     if trace.status == CONVERGED:
         return EXIT_OK
@@ -220,32 +219,19 @@ def cmd_volume(args) -> int:
     base = CornerAlpha(*args.base)
     chart = PyramidChart(eta=eta, base_alpha=base)
 
-    lines = ["alpha_i,alpha_j,alpha_k,volume,hess_eig_min,hess_eig_max"]
-
-    def emit(a: CornerAlpha, H: np.ndarray) -> None:
-        V = relative_volume(chart, a)
-        eig = np.linalg.eigvalsh(H)
-        lines.append(
-            ",".join(
-                [_fmt(a.a_i), _fmt(a.a_j), _fmt(a.a_k), _fmt(V), _fmt(eig[0]), _fmt(eig[-1])]
-            )
-        )
-
-    emit(base, volume_hessian(chart, base))
     ticks = []
     k = 1
     while k * step < 0.5 * math.pi:
         ticks.append(k * step)
         k += 1
-    for a_i in ticks:
-        for a_j in ticks:
-            for a_k in ticks:
-                try:
-                    a = CornerAlpha(a_i, a_j, a_k)
-                    H = volume_hessian(chart, a)  # raises off the admissible set
-                except HexflowError:
-                    continue
-                emit(a, H)
+    grid = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
+    points, volumes, eigs = volume_grid(chart, grid)  # skips the inadmissible points
+
+    lines = ["alpha_i,alpha_j,alpha_k,volume,hess_eig_min,hess_eig_max"]
+    base_eigs = np.linalg.eigvalsh(volume_hessian(chart, base))
+    for a, V, eig in [(base.as_tuple(), relative_volume(chart, base), base_eigs),
+                      *zip(points, volumes, eigs)]:
+        lines.append(",".join(_fmt(x) for x in (*a, V, eig[0], eig[-1])))
 
     text = "\n".join(lines) + "\n"
     if args.out:

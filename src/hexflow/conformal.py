@@ -12,7 +12,8 @@ closed 1-form K . da.
 Every evaluation runs the array kernel (`hexflow.kernel`) on all faces at
 once: curvature is a scatter of its arcs over the corner indices, the
 Jacobian a scatter of its blocks into a CSR pattern built once per surface,
-and the line integral evaluates all nodes of a quadrature level in one call.
+and the line integrals of many segments evaluate each quadrature level of
+all of them in a few kernel calls.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,8 +31,8 @@ from .errors import DomainError, LengthMismatch, NotAdmissible, ParseError
 from .hexagon import CornerAlpha, FaceEta, central_difference, face_jacobian_chain
 from .kernel import FaceValues, edge_margins, face_arcs, face_kernel
 from .quadrature import line_integral
-from .tolerances import ADMISSIBILITY_EPS, SAMPLE_MAX_TRIES
-from .triangulation import Surface
+from .tolerances import ADMISSIBILITY_EPS, BATCH_FACE_EVALS, SAMPLE_MAX_TRIES
+from .triangulation import CsrPattern, Surface
 
 _HALF_PI = 0.5 * math.pi
 
@@ -132,16 +134,26 @@ def _check_length(s: Surface, alpha: np.ndarray) -> None:
         raise LengthMismatch(f"factor has {alpha.shape[-1]} components, surface has {s.n_boundary}")
 
 
-def factor_margin(s: Surface, alpha: np.ndarray) -> float:
-    """The admissibility gate: the smallest edge margin over factors alpha of
-    shape (n,) or (N, n), or -inf when a component leaves the open box
-    (0, pi/2) (NaN included).  Raises LengthMismatch unless the last axis
-    has n_boundary components.  Every test of whether a point may be
-    evaluated compares this one number with its threshold."""
+def factor_margins(s: Surface, alpha: np.ndarray) -> np.ndarray:
+    """The admissibility gate per factor: for factors alpha of shape
+    (..., n), the smallest edge margin of each, or -inf where a component
+    leaves the open box (0, pi/2) (NaN included); shape (...).  Raises
+    LengthMismatch unless the last axis has n_boundary components."""
     _check_length(s, alpha)
-    if not (alpha.min() > 0.0 and alpha.max() < _HALF_PI):
-        return -math.inf
-    return float(np.min(edge_margins(s.arrays, alpha), initial=math.inf))
+    if alpha.min(initial=math.inf) > 0.0 and alpha.max(initial=-math.inf) < _HALF_PI:
+        return edge_margins(s.arrays, alpha).min(axis=-1, initial=math.inf)
+    inside = ((alpha > 0.0) & (alpha < _HALF_PI)).all(axis=-1)
+    with np.errstate(invalid="ignore"):  # cos(inf) off the box
+        margins = edge_margins(s.arrays, alpha).min(axis=-1, initial=math.inf)
+    return np.where(inside, margins, -math.inf)
+
+
+def factor_margin(s: Surface, alpha: np.ndarray) -> float:
+    """The admissibility gate: the smallest of factor_margins over factors
+    alpha of shape (n,) or (N, n).  Every test of whether a point may be
+    evaluated compares this one number, or factor_margins per point, with
+    its threshold."""
+    return float(factor_margins(s, alpha).min(initial=math.inf))
 
 
 def admissibility(s: Surface, a: ConformalFactor) -> AdmissibilityReport:
@@ -169,21 +181,21 @@ def admissibility(s: Surface, a: ConformalFactor) -> AdmissibilityReport:
 
 
 def _check_factors(s: Surface, alpha: np.ndarray) -> None:
-    """Pass factors alpha of shape (n,) or (N, n) whose factor_margin clears
-    ADMISSIBILITY_EPS; otherwise raise for the first row that does not:
+    """Pass factors alpha of shape (..., n) whose factor_margins all clear
+    ADMISSIBILITY_EPS; otherwise raise for the first one that does not:
     DomainError outside the box, else NotAdmissible with its report."""
-    if factor_margin(s, alpha) <= ADMISSIBILITY_EPS:
-        for row in alpha.reshape(-1, s.n_boundary):
-            if factor_margin(s, row) <= ADMISSIBILITY_EPS:
-                # ConformalFactor raises DomainError outside the box
-                report = admissibility(s, ConformalFactor(row))
-                raise NotAdmissible(
-                    f"factor inadmissible: min margin {report.min_margin:.3e} "
-                    f"at edge {report.nearest_edge}",
-                    deficit=report.min_margin,
-                    edge_id=report.nearest_edge,
-                    report=report,
-                )
+    failed = factor_margins(s, alpha) <= ADMISSIBILITY_EPS
+    if failed.any():
+        row = alpha.reshape(-1, s.n_boundary)[np.argmax(failed.ravel())]
+        # ConformalFactor raises DomainError outside the box
+        report = admissibility(s, ConformalFactor(row))
+        raise NotAdmissible(
+            f"factor inadmissible: min margin {report.min_margin:.3e} "
+            f"at edge {report.nearest_edge}",
+            deficit=report.min_margin,
+            edge_id=report.nearest_edge,
+            report=report,
+        )
 
 
 def _faces(s: Surface, alpha: np.ndarray, jacobian: bool = False) -> FaceValues:
@@ -244,13 +256,25 @@ def curvature_from_lengths(s: Surface, lengths: dict[int, float]) -> np.ndarray:
 @dataclass(frozen=True)
 class GlobalJacobian:
     """Sparse symmetric curvature Jacobian dK/da, assembled by scattering
-    per-face 3x3 blocks over corner indices (repeated corners sum)."""
+    per-face 3x3 blocks over corner indices (repeated corners sum): the CSR
+    data vector on the surface's shared pattern."""
 
-    matrix: sp.csr_matrix
-    n: int
+    data: np.ndarray
+    pattern: CsrPattern
+
+    @property
+    def n(self) -> int:
+        return self.pattern.n
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        p = self.pattern
+        return sp.csr_matrix((self.data, p.indices, p.indptr), shape=(p.n, p.n))
 
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        out = np.zeros(self.n * self.n)
+        out[self.pattern.flat] = self.data
+        return out.reshape(self.n, self.n)
 
     def min_eigenvalue(self) -> float:
         if self.n <= DENSE_EIG_MAX_N:
@@ -266,12 +290,11 @@ class GlobalJacobian:
         return float(abs(d).max() / scale) if d.nnz else 0.0
 
     def to_coo_dict(self) -> dict:
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
+        """Triplets in row-major order, the order of the pattern."""
         return {
-            "rows": [int(r) for r in coo.row[order]],
-            "cols": [int(c) for c in coo.col[order]],
-            "vals": [float(v) for v in coo.data[order]],
+            "rows": [int(r) for r in self.pattern.rows],
+            "cols": [int(c) for c in self.pattern.indices],
+            "vals": [float(v) for v in self.data],
         }
 
 
@@ -284,10 +307,9 @@ def global_jacobian(s: Surface, a: ConformalFactor) -> GlobalJacobian:
 def _assemble(s: Surface, blocks: np.ndarray) -> GlobalJacobian:
     # per-face blocks (F, 3, 3) summed into the CSR pattern in face-then-slot
     # order (repeated corners sum)
-    indptr, indices, slot = s.arrays.jacobian_pattern
-    data = np.bincount(slot, weights=blocks.ravel(), minlength=indices.size)
-    n = s.n_boundary
-    return GlobalJacobian(matrix=sp.csr_matrix((data, indices, indptr), shape=(n, n)), n=n)
+    pattern, slot = s.arrays.jacobian_pattern
+    data = np.bincount(slot, weights=blocks.ravel(), minlength=pattern.indices.size)
+    return GlobalJacobian(data, pattern)
 
 
 def default_base_point(s: Surface) -> ConformalFactor:
@@ -300,22 +322,39 @@ def default_base_point(s: Surface) -> ConformalFactor:
 
 
 def _segment_curvature_integral(
-    s: Surface, start: np.ndarray, end: np.ndarray
-) -> float:
-    """Integral of K . da along the straight segment from start to end."""
-    d = end - start
-    if not np.any(d):
-        return 0.0
+    s: Surface, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Integrals of K . da along the M straight segments from starts to
+    ends, both of shape (M, n); starts and ends of shape (n,) are the M = 1
+    view and give a float.
 
+    A segment of length zero is 0.0 and evaluates nothing.  The others
+    share each Gauss-Legendre level while they refine: a kernel call
+    covers at most BATCH_FACE_EVALS face-node evaluations, and never less
+    than one segment's whole level.  Every node passes _check_factors
+    first; the first node that fails, in call order, raises.
+    """
+    if starts.ndim == 1:
+        return float(_segment_curvature_integral(s, starts[None], ends[None])[0])
+    d = ends - starts
+    moving = np.flatnonzero(d.any(axis=1))
+    out = np.zeros(len(d))
+    if not moving.size:
+        return out
+    starts, d = starts[moving], d[moving]
     # K . d summed face by face: each arc times the step of its component
-    d_corners = d[s.arrays.corners].ravel()
+    d_corners = d[:, s.arrays.corners].reshape(len(d), -1, 1)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        alpha = start + t[:, None] * d
+    def integrand(level) -> np.ndarray:
+        rows, t = level
+        alpha = starts[rows, None] + t[:, None] * d[rows, None]
         _check_factors(s, alpha)
-        return _faces(s, alpha).arcs.reshape(t.size, -1) @ d_corners
+        arcs = _faces(s, alpha).arcs.reshape(len(rows), t.size, -1)
+        return np.matmul(arcs, d_corners[rows])[..., 0]
 
-    return line_integral(integrand)
+    max_points = BATCH_FACE_EVALS // len(s.arrays.face_ids)
+    out[moving] = line_integral(integrand, len(moving), max_points=max_points)
+    return out
 
 
 def energy(s: Surface, a: ConformalFactor, base: ConformalFactor | None = None) -> float:

@@ -18,12 +18,19 @@ steps shrink dt by STEP_SHRINK; STEP_GROW_AFTER accepted steps in a row grow
 it back, up to DT_CAP_FACTOR times dt0.  The Newton solver's line search is
 the same guarded step with an Armijo test in place of monotonicity.  The
 step-control constants live in `hexflow.tolerances`.
+
+Flows and the Newton solver record one `RunLog` row per accepted step.
+Nothing in a flow reads the potential, so its trace keeps the accepted path
+and computes the potential column, in one batched line integral, when the
+trace is first read; Newton's Armijo test reads the potential and computes
+it as it goes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -87,12 +94,33 @@ NEWTON_COLUMNS = ("iter", "resid_inf", "step_len", "potential", "min_margin", "g
 class RunLog:
     """One row per accepted flow step or Newton iteration (row 0 is the
     initial state), the terminal status and, for flows, whether the weight
-    structure condition held."""
+    structure condition held.
+
+    A column may be pending: its rows hold None until the first read of
+    rows (column, to_csv, write_csv) fills them from pending(), which
+    returns the whole column."""
 
     columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
     status: str = ""
     structure_condition: bool | None = None
+    pending: tuple[str, Callable[[], list]] | None = field(default=None, init=False, repr=False)
+    _rows: list[tuple] = field(default_factory=list, init=False, repr=False)
+
+    @property
+    def rows(self) -> list[tuple]:
+        if self.pending is not None:
+            name, compute = self.pending
+            idx = self.columns.index(name)
+            values = compute()
+            self._rows = [row[:idx] + (v,) + row[idx + 1:] for row, v in zip(self._rows, values)]
+            self.pending = None
+        return self._rows
+
+    def last(self, name: str):
+        """Column name of the last row, filling no pending column but name."""
+        idx = self.columns.index(name)
+        rows = self.rows if self.pending and self.pending[0] == name else self._rows
+        return rows[-1][idx]
 
     def column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name)
@@ -182,8 +210,10 @@ def velocity(method: str, s: float, K, Kbar, J=None) -> np.ndarray:
 
 def _target(s: Surface, Kbar) -> np.ndarray:
     Kbar = np.asarray(getattr(Kbar, "K", Kbar), dtype=float)
-    if Kbar.shape != (s.n_boundary,) or not np.all(Kbar > 0.0):
-        raise DomainError("target boundary lengths must be positive, one per component")
+    if Kbar.shape != (s.n_boundary,) or not np.all((Kbar > 0.0) & (Kbar < math.inf)):
+        raise DomainError(
+            "target boundary lengths must be finite and positive, one per component"
+        )
     return Kbar
 
 
@@ -215,19 +245,26 @@ def run_flow(
     Dynamics never raise: the trace records a terminal status of Converged,
     MaxSteps, StalledStep (dt underflow, or J^s (K - Kbar) not finite after
     the first step) or JacobianNotPD.  Malformed inputs (inadmissible a0,
-    nonpositive Kbar, a fractional order s so large that J^s (K - Kbar) is
-    not finite at a0) do raise.
+    Kbar not finite and positive, a fractional order s so large that
+    J^s (K - Kbar) is not finite at a0) do raise.
+
+    Nothing in the dynamics reads the potential, so the trace's potential
+    column is pending: the trace keeps the accepted path, 8n bytes per
+    accepted step, and the first read of its rows integrates the segment
+    from the default base point to a0 and every step in one batched call
+    (`_path_potential`).
     """
     Kbar = _target(s, Kbar)
-    base = default_base_point(s)
     trace = RunLog(TRACE_COLUMNS, structure_condition=structure_condition_holds(s))
 
     alpha = a0.alpha.copy()
     K = curvature(s, ConformalFactor(alpha)).K  # raises if a0 inadmissible
     resid = float(np.max(np.abs(K - Kbar)))
     cal = calabi_energy(K, Kbar)
-    pot = potential(s, ConformalFactor(alpha), Kbar, base)
-    trace.rows.append((0, 0.0, 0.0, resid, cal, pot, factor_margin(s, alpha)))
+    path = [alpha]
+    trace.pending = ("potential", lambda: _path_potential(s, path, Kbar))
+    rows = trace._rows
+    rows.append((0, 0.0, 0.0, resid, cal, None, factor_margin(s, alpha)))
 
     if resid <= cfg.tol:
         trace.status = CONVERGED
@@ -269,13 +306,11 @@ def run_flow(
             accepted_run = 0
         dt = accepted_dt
 
-        pot += _segment_curvature_integral(s, alpha, trial) - float(
-            Kbar @ (trial - alpha)
-        )
         alpha = trial
+        path.append(alpha)
         t += dt
         resid = float(np.max(np.abs(K - Kbar)))
-        trace.rows.append((step, t, dt, resid, cal, pot, margin))
+        rows.append((step, t, dt, resid, cal, None, margin))
 
         if resid <= cfg.tol:
             trace.status = CONVERGED
@@ -288,6 +323,23 @@ def run_flow(
 
     trace.status = MAX_STEPS
     return ConformalFactor(alpha), trace
+
+
+def _path_potential(s: Surface, path: list[np.ndarray], Kbar: np.ndarray) -> list[float]:
+    """The potential (for target Kbar, against the default base point) at
+    every point of a flow's path: the line integrals of the segment from the
+    base point to path[0] and of every step, in one batched call, summed in
+    step order."""
+    base = default_base_point(s).alpha
+    ends = np.array(path)
+    starts = np.concatenate((base[None], ends[:-1]))
+    integrals = _segment_curvature_integral(s, starts, ends).tolist()
+    pot = integrals[0] - float(Kbar @ (path[0] - base))
+    out = [pot]
+    for prev, a, integral in zip(path, path[1:], integrals[1:]):
+        pot += integral - float(Kbar @ (a - prev))
+        out.append(pot)
+    return out
 
 
 def measured_decay_rate(trace: RunLog) -> float:

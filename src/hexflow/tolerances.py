@@ -28,6 +28,13 @@ QUAD_INIT_NODES = 16
 QUAD_MAX_NODES = 1024
 QUAD_REL_TOL = 1e-10
 
+# Face evaluations one batched kernel call may cover: the line integrals of
+# many segments split each quadrature level into calls of at most this many
+# face-node evaluations (but at least one segment's whole level), and
+# `hexflow volume` evaluates its grid's Hessians in calls of this many
+# points per face.
+BATCH_FACE_EVALS = 2048
+
 # Step control shared by the flows (dt) and the Newton line search (step
 # length).  A trial step is shrunk by STEP_SHRINK until it stays inside the
 # open angle box with every edge margin at least STEP_MARGIN and passes the

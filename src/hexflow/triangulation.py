@@ -69,10 +69,10 @@ class SurfaceArrays:
             arr.flags.writeable = False
 
     @cached_property
-    def jacobian_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR pattern (indptr, indices) of the n x n curvature Jacobian, and
-        for each entry of the per-face 3x3 blocks, flattened in face-then-
-        slot order, the position of its summand in the CSR data vector."""
+    def jacobian_pattern(self) -> tuple[CsrPattern, np.ndarray]:
+        """CSR pattern of the n x n curvature Jacobian, and for each entry of
+        the per-face 3x3 blocks, flattened in face-then-slot order, the
+        position of its summand in the CSR data vector."""
         rows = np.repeat(self.corners, 3, axis=1).ravel()
         cols = np.tile(self.corners, 3).ravel()
         keys, slot = np.unique(rows * self.n + cols, return_inverse=True)
@@ -80,10 +80,34 @@ class SurfaceArrays:
         np.cumsum(np.bincount(keys // self.n, minlength=self.n), out=indptr[1:])
         # int32, the index type scipy picks for these sizes, so building a
         # matrix copies nothing; read-only, as every matrix shares them
-        pattern = indptr, (keys % self.n).astype(np.int32), slot.astype(np.int32)
-        for arr in pattern:
+        indices, slot = (keys % self.n).astype(np.int32), slot.astype(np.int32)
+        for arr in (indptr, indices, slot):
             arr.flags.writeable = False
-        return pattern
+        return CsrPattern(self.n, indptr, indices), slot
+
+
+@dataclass(frozen=True)
+class CsrPattern:
+    """Sparsity pattern of an n x n CSR matrix with sorted, unique column
+    indices in each row."""
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row index of every entry."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """Position of every entry in the row-major dense n x n matrix."""
+        flat = self.rows * self.n + self.indices
+        flat.flags.writeable = False
+        return flat
 
 
 @dataclass(frozen=True)

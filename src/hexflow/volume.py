@@ -8,6 +8,10 @@ normalization would require decomposing the truncated polytope and is out of
 scope.  The Hessian is -(1/2) times the angle Jacobian, hence negative
 definite under the structure condition: the volume is strictly concave in
 the dihedral angles.
+
+`volume_grid` tabulates a chart over many points at once: one gate
+evaluation for all of them, the Hessians in batched kernel calls and the
+volumes in one batched line integral.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .conformal import _check_factors, _faces, _segment_curvature_integral
+from .conformal import _check_factors, _faces, _segment_curvature_integral, factor_margins
+from .errors import DomainError
 from .hexagon import CornerAlpha, FaceEta
 from .kernel import FaceValues
+from .tolerances import ADMISSIBILITY_EPS, BATCH_FACE_EVALS
 from .triangulation import Edge, Face, Surface
 
 
@@ -72,3 +78,46 @@ def volume_hessian(chart: PyramidChart, a: CornerAlpha) -> np.ndarray:
     """Hessian of the relative volume: -(1/2) times the angle Jacobian.
     All eigenvalues are negative under the structure condition."""
     return -0.5 * _face_values(chart, a, jacobian=True).jacobian[0]
+
+
+def volume_grid(chart: PyramidChart, alphas: np.ndarray):
+    """The rows of alphas (N, 3) at which volume_hessian evaluates, with the
+    relative volume and the ascending Hessian eigenvalues at each:
+    (points (N', 3), volumes (N',), eigenvalues (N', 3)), the same values
+    as relative_volume and volume_hessian point by point.
+
+    A row is skipped where volume_hessian would raise: where the gate
+    rejects it (factor_margins at most ADMISSIBILITY_EPS) or the kernel
+    raises DomainError on it.
+    """
+    surface = chart.surface
+    points = alphas[factor_margins(surface, alphas) > ADMISSIBILITY_EPS]
+    evaluated = np.zeros(len(points), bool)
+    eigs = np.empty_like(points)
+    # a chart is one face: BATCH_FACE_EVALS points per kernel call
+    for i in range(0, len(points), BATCH_FACE_EVALS):
+        ok, hessians = _hessians(surface, points[i:i + BATCH_FACE_EVALS])
+        evaluated[i:i + BATCH_FACE_EVALS] = ok
+        eigs[i:i + BATCH_FACE_EVALS][ok] = np.linalg.eigvalsh(hessians)
+    points, eigs = points[evaluated], eigs[evaluated]
+    base = np.array(chart.base_alpha.as_tuple())
+    integrals = _segment_curvature_integral(surface, np.broadcast_to(base, points.shape), points)
+    # relative_volume is 0.0 at the base point itself, not -0.0
+    volumes = np.where((points != base).any(axis=1), -0.5 * integrals, 0.0)
+    return points, volumes, eigs
+
+
+def _hessians(surface: Surface, alphas: np.ndarray):
+    """Volume Hessians at the rows of alphas (N, 3) the kernel evaluates,
+    and the mask of those rows; the rows of a call that raises DomainError
+    are retried in halves down to the one that raised."""
+    try:
+        jacobians = _faces(surface, alphas, jacobian=True).jacobian[:, 0]
+        return np.ones(len(alphas), bool), -0.5 * jacobians
+    except DomainError:
+        if len(alphas) == 1:
+            return np.zeros(1, bool), np.empty((0, 3, 3))
+        half = len(alphas) // 2
+        (ok_lo, h_lo), (ok_hi, h_hi) = (_hessians(surface, alphas[:half]),
+                                        _hessians(surface, alphas[half:]))
+        return np.concatenate((ok_lo, ok_hi)), np.concatenate((h_lo, h_hi))

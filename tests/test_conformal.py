@@ -267,12 +267,13 @@ class TestGlobalJacobian:
         import scipy.sparse as sp
 
         from hexflow.conformal import DENSE_EIG_MAX_N, GlobalJacobian
+        from hexflow.triangulation import CsrPattern
 
         n = DENSE_EIG_MAX_N + 64
         diag = np.linspace(2.0, 5.0, n)
         off = np.full(n - 1, 0.25)
         mat = sp.diags([off, diag, off], offsets=(-1, 0, 1), format="csr")
-        J = GlobalJacobian(matrix=mat, n=n)
+        J = GlobalJacobian(mat.data, CsrPattern(n, mat.indptr, mat.indices))
         dense_min = float(np.linalg.eigvalsh(mat.toarray()).min())
         assert J.min_eigenvalue() == pytest.approx(dense_min, rel=1e-8)
 

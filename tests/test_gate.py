@@ -16,6 +16,7 @@ from hexflow import (
     curvature,
     energy,
     factor_margin,
+    factor_margins,
     global_jacobian,
     sample_admissible,
 )
@@ -44,6 +45,16 @@ def test_gate_is_minus_inf_off_the_open_box(pants, value):
     assert factor_margin(pants, alpha) == -math.inf
     rows = np.array([[0.3, 0.3, 0.3], alpha])
     assert factor_margin(pants, rows) == -math.inf
+
+
+@pytest.mark.parametrize("value", [0.0, math.pi / 2, math.nan, math.inf])
+def test_per_row_gate(pants, value):
+    rows = np.array([[0.3, 0.3, 0.3], [0.3, value, 0.3], [0.5, 0.6, 0.4]])
+    margins = factor_margins(pants, rows)
+    assert margins.tolist() == [factor_margin(pants, row) for row in rows]
+    assert margins[1] == -math.inf and factor_margin(pants, rows) == margins.min()
+    grid = np.stack([rows, rows[::-1]])
+    assert np.array_equal(factor_margins(pants, grid), np.stack([margins, margins[::-1]]))
 
 
 def _evaluations():

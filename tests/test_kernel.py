@@ -201,9 +201,10 @@ class TestLineIntegral:
     def counted(f):
         sizes = []
 
-        def g(t):
+        def g(level):
+            _, t = level
             sizes.append(len(t))
-            return f(t)
+            return f(t)[None]
 
         return g, sizes
 
