@@ -44,6 +44,7 @@ from .hexagon import (
     face_metric,
     length_jacobian_fd,
 )
+from .jsonio import dump, dumps
 from .solve import (
     CONVERGED,
     JACOBIAN_NOT_PD,
@@ -72,12 +73,10 @@ def _fmt(x: float) -> str:
 
 
 def _write_json(data: dict, path: str | None) -> None:
-    text = json.dumps(data, indent=1)
     if path is None:
-        print(text)
+        print(dumps(data))
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        dump(data, path)
 
 
 def _load_target(path, n: int) -> np.ndarray:
@@ -102,7 +101,7 @@ def cmd_validate(args) -> int:
     violations = check_structure_condition(surface)
     print(
         f"surface: {surface.n_boundary} boundary components, "
-        f"{len(surface.edges)} edges, {len(surface.faces)} faces"
+        f"{len(surface.arrays.edge_ids)} edges, {len(surface.arrays.face_ids)} faces"
     )
     if violations:
         print("structure_condition: violated")
@@ -116,8 +115,7 @@ def cmd_validate(args) -> int:
 def cmd_curvature(args) -> int:
     surface = load_surface(args.surface, strict=args.strict)
     factor = load_factor(args.factors, surface.n_boundary)
-    dump = curvature_dump(surface, factor)
-    _write_json(dump, args.out)
+    _write_json(curvature_dump(surface, factor), args.out)
     return EXIT_OK
 
 
@@ -168,7 +166,8 @@ def cmd_jacobian_check(args) -> int:
         raise DomainError("--samples must be at least 1")
     surface = load_surface(args.surface, strict=args.strict)
     rng = np.random.default_rng(args.seed)
-    eta_zero = all(e.eta == 0.0 for e in surface.edges)
+    arrays = surface.arrays
+    eta_zero = not arrays.edge_etas.any()
     structure_ok = not check_structure_condition(surface)
 
     max_sym = 0.0
@@ -185,9 +184,9 @@ def cmd_jacobian_check(args) -> int:
         dense = J.dense()
         scale = max(1.0, float(np.abs(dense).max()))
         max_fd_dev = max(max_fd_dev, float(np.abs(dense - fd).max()) / scale)
-        for f in surface.faces:
-            ca = CornerAlpha(*(factor.alpha[c] for c in f.corners))
-            fe = FaceEta(*surface.face_etas(f))
+        for corners, etas in zip(arrays.corners, arrays.etas.tolist()):
+            ca = CornerAlpha(*factor.alpha[corners])
+            fe = FaceEta(*etas)
             m = face_metric(ca, fe)
             det_closed = det_length_alpha_jacobian(ca, fe, m)
             det_fd = float(np.linalg.det(length_jacobian_fd(ca, fe)))

@@ -29,6 +29,7 @@ import scipy.sparse.linalg
 
 from .errors import DomainError, LengthMismatch, NotAdmissible, ParseError
 from .hexagon import CornerAlpha, FaceEta, central_difference, face_jacobian_chain
+from .jsonio import dump
 from .kernel import FaceValues, edge_margins, face_arcs, face_kernel
 from .quadrature import line_integral
 from .tolerances import ADMISSIBILITY_EPS, BATCH_FACE_EVALS, SAMPLE_MAX_TRIES
@@ -73,7 +74,7 @@ class ConformalFactor:
         return self.alpha.shape[0]
 
     def to_dict(self) -> dict:
-        return {"alpha": [float(a) for a in self.alpha]}
+        return {"alpha": self.alpha.tolist()}
 
 
 def load_factor(path, n: int | None = None) -> ConformalFactor:
@@ -102,9 +103,7 @@ def load_factor(path, n: int | None = None) -> ConformalFactor:
 
 
 def save_factor(factor: ConformalFactor, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(factor.to_dict(), fh, indent=1)
-        fh.write("\n")
+    dump(factor.to_dict(), path)
 
 
 @dataclass(frozen=True)
@@ -241,11 +240,12 @@ def curvature_from_lengths(s: Surface, lengths: dict[int, float]) -> np.ndarray:
     resolution.  Raises DomainError unless every length is positive and
     finite.
     """
-    missing = {e.id for e in s.edges} - lengths.keys()
+    arrays = s.arrays
+    missing = set(arrays.edge_ids) - lengths.keys()
     if missing:
         raise LengthMismatch(f"lengths missing for edges {sorted(missing)}")
-    # (l_ij, l_ik, l_jk) per face; face.edges[t] is opposite corner slot t
-    L = np.array([[lengths[e] for e in f.edges[::-1]] for f in s.faces], dtype=float)
+    # (l_ij, l_ik, l_jk) per face; slot t holds the edge opposite corner t
+    L = np.array([lengths[e] for e in arrays.edge_ids], dtype=float)[arrays.slot_edges[:, ::-1]]
     if not np.all((L > 0.0) & (L < math.inf)):
         raise DomainError("edge lengths must be positive and finite")
     with np.errstate(all="ignore"):
@@ -292,9 +292,9 @@ class GlobalJacobian:
     def to_coo_dict(self) -> dict:
         """Triplets in row-major order, the order of the pattern."""
         return {
-            "rows": [int(r) for r in self.pattern.rows],
-            "cols": [int(c) for c in self.pattern.indices],
-            "vals": [float(v) for v in self.data],
+            "rows": self.pattern.rows.tolist(),
+            "cols": self.pattern.indices.tolist(),
+            "vals": self.data.tolist(),
         }
 
 
@@ -315,9 +315,11 @@ def _assemble(s: Surface, blocks: np.ndarray) -> GlobalJacobian:
 def default_base_point(s: Surface) -> ConformalFactor:
     """A factor guaranteed admissible for this surface: all components equal
     to half the tightest per-edge cap (capped at pi/4)."""
+    etas = s.arrays.edge_etas
     cap = 0.25 * math.pi
-    for e in s.edges:
-        cap = min(cap, 0.5 * math.acos(-min(e.eta, 1.0)))
+    if etas.size:
+        # acos(-x) increases with x: the smallest weight sets the cap
+        cap = min(cap, 0.5 * math.acos(-min(float(etas.min()), 1.0)))
     return ConformalFactor(np.full(s.n_boundary, 0.5 * cap))
 
 
@@ -424,9 +426,9 @@ def curvature_dump(s: Surface, a: ConformalFactor) -> dict:
     J = _assemble(s, faces.jacobian)
     margins = edge_margins(s.arrays, a.alpha)
     return {
-        "K": [float(k) for k in K],
+        "K": K.tolist(),
         "jacobian": J.to_coo_dict(),
-        "margins": {str(eid): float(m) for eid, m in zip(s.arrays.edge_ids, margins)},
+        "margins": dict(zip(map(str, s.arrays.edge_ids), margins.tolist())),
     }
 
 
@@ -438,10 +440,11 @@ def chain_global_jacobian(s: Surface, a: ConformalFactor) -> GlobalJacobian:
     """dK/da assembled from the raw chain-rule blocks of the scalar
     reference, symmetric only up to rounding."""
     _check_factors(s, a.alpha)
-    chain = []
-    for f in s.faces:
-        ca = CornerAlpha(*(a.alpha[c] for c in f.corners))
-        chain.append(face_jacobian_chain(ca, FaceEta(*s.face_etas(f))))
+    arrays = s.arrays
+    chain = [
+        face_jacobian_chain(CornerAlpha(*a.alpha[c]), FaceEta(*e))
+        for c, e in zip(arrays.corners, arrays.etas.tolist())
+    ]
     return _assemble(s, np.array(chain))
 
 

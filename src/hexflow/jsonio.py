@@ -1,0 +1,80 @@
+"""The one JSON writer of the package.
+
+`dumps(obj)` returns exactly the text of `json.dumps(obj, indent=1)`, and
+`dump(obj, path)` writes it with a final newline; dict keys must be
+strings.  The stdlib falls back to its pure-Python encoder whenever
+`indent` is set; this one writes a list (or the values of a dict) that
+holds only floats or only ints in a single join, which is most of a
+curvature dump.  Non-finite floats are written as `NaN`, `Infinity` and
+`-Infinity`, as the stdlib does by default.
+"""
+
+from __future__ import annotations
+
+import math
+from json.encoder import encode_basestring_ascii as _string
+
+
+def dumps(obj) -> str:
+    return _encode(obj, "\n")
+
+
+def dump(obj, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps(obj) + "\n")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    if not isinstance(k, str):
+        raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+    return _string(k)
+
+
+def _values(seq: list, newline: str):
+    """The encoded items of seq, in one map when they are all plain floats
+    (finite: a sum that is not finite sends them the long way) or all ints."""
+    kinds = set(map(type, seq))
+    if kinds == {float} and math.isfinite(sum(seq)):
+        return map(float.__repr__, seq)
+    if kinds == {int}:
+        return map(int.__repr__, seq)
+    return [_encode(v, newline) for v in seq]
+
+
+def _encode(o, newline: str) -> str:
+    """o as JSON text whose container lines start with newline (a line
+    break and the current indent)."""
+    if isinstance(o, str):
+        return _string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    inner = newline + " "
+    sep = "," + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + sep.join(_values(o, inner)) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = map("{}: {}".format, map(_key, o), _values(list(o.values()), inner))
+        return "{" + inner + sep.join(items) + newline + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")

@@ -171,10 +171,12 @@ def velocity(method: str, s: float, K, Kbar, J=None) -> np.ndarray:
 
     The fractional flow with s = 0 or s = 1 dispatches to the ricci or
     calabi branch so the reduction identities hold exactly.  The calabi and
-    fractional branches require the Jacobian to be positive definite and
-    raise JacobianNotPD (reporting the minimum eigenvalue) otherwise.  The
-    fractional branch raises DomainError when J^s (K - Kbar) is not finite:
-    the order s is too large for the eigenvalues of J.
+    fractional branches require the Jacobian to be positive definite (the
+    calabi branch tests it by Cholesky, the fractional branch by its
+    eigendecomposition) and raise JacobianNotPD (reporting the minimum
+    eigenvalue) otherwise.  The fractional branch raises DomainError when
+    J^s (K - Kbar) is not finite: the order s is too large for the
+    eigenvalues of J.
     """
     if method not in FLOW_METHODS:
         raise DomainError(f"unknown flow method {method!r}")
@@ -192,20 +194,30 @@ def velocity(method: str, s: float, K, Kbar, J=None) -> np.ndarray:
     if J is None:
         raise DomainError(f"method {method!r} needs the curvature Jacobian")
     A = _as_dense(J)
-    w, V = np.linalg.eigh(A)
-    if w[0] <= 0.0:
-        raise JacobianNotPD(
-            f"curvature Jacobian not positive definite, min eigenvalue {w[0]:.3e}",
-            min_eigenvalue=float(w[0]),
-        )
     r = K - Kbar
     if method == "calabi":
+        # a Cholesky factorisation is the positive-definiteness test; the
+        # eigenvalues are computed only to report a failure
+        try:
+            np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            _not_pd(np.linalg.eigvalsh(A)[0])
         return -(A @ r)
+    w, V = np.linalg.eigh(A)
+    if w[0] <= 0.0:
+        _not_pd(w[0])
     with np.errstate(all="ignore"):  # w**s may overflow; v is tested instead
         v = -((V * w**s) @ (V.T @ r))
     if not np.isfinite(v).all():
         raise DomainError(f"fractional order s = {s!r}: J^s (K - Kbar) is not finite")
     return v
+
+
+def _not_pd(min_eigenvalue) -> None:
+    raise JacobianNotPD(
+        f"curvature Jacobian not positive definite, min eigenvalue {min_eigenvalue:.3e}",
+        min_eigenvalue=float(min_eigenvalue),
+    )
 
 
 def _target(s: Surface, Kbar) -> np.ndarray:

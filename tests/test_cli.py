@@ -1,12 +1,26 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from hexflow import ConformalFactor, NotAttained, curvature, load_surface
+from hexflow import (
+    ConformalFactor,
+    Edge,
+    Face,
+    NotAttained,
+    Surface,
+    curvature,
+    default_base_point,
+    load_surface,
+    save_factor,
+    save_surface,
+)
 from hexflow.cli import main
-from conftest import fixture_path
+from hexflow.conformal import curvature_dump
+from hexflow.jsonio import dumps
+from conftest import FIXTURES, fixture_path, reference_factor
 
 ARCCOSH15 = math.acosh(1.5)
 
@@ -343,3 +357,122 @@ def test_parser_is_built_once():
     from hexflow.cli import build_parser
 
     assert build_parser() is build_parser()
+
+
+def torus_surface(m: int) -> Surface:
+    """An m x m torus grid (2 m^2 faces) with weights 1, 1 and -0.5 on the
+    horizontal, vertical and diagonal edges."""
+    def v(i, j):
+        return (i % m) * m + j % m
+
+    edges, faces = [], []
+    for i in range(m):
+        for j in range(m):
+            a = v(i, j)
+            edges += [
+                Edge(3 * a, (a, v(i, j + 1)), 1.0),
+                Edge(3 * a + 1, (a, v(i + 1, j)), 1.0),
+                Edge(3 * a + 2, (a, v(i + 1, j + 1)), -0.5),
+            ]
+            faces += [
+                Face(2 * a, (a, v(i, j + 1), v(i + 1, j + 1)),
+                     (3 * v(i, j + 1) + 1, 3 * a + 2, 3 * a)),
+                Face(2 * a + 1, (a, v(i + 1, j + 1), v(i + 1, j)),
+                     (3 * v(i + 1, j), 3 * a + 1, 3 * a + 2)),
+            ]
+    return Surface(m * m, edges, faces)
+
+
+ENCODER_EDGE_CASES = [
+    -0.0, 1e-320, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+    [], {}, [[]], [{}], {"a": [], "b": {}}, (1, 2.5),
+    [0.1, -0.0, 1e-320], [math.nan, 1.0], [1.0, math.inf], [1e308, 1e308], [-math.inf, 2.0],
+    [1, True, None, "x\u00e9\n", 2.5, [1.5], {"k": -0.0}],
+    [True, False], [2**70, -3], ["a", "b"],
+    {"3": 1.5, "-1": math.nan}, {"q": [0], "r": {"s": None, "t": False}},
+]
+
+
+@pytest.mark.parametrize("value", ENCODER_EDGE_CASES, ids=repr)
+def test_encoder_edge_cases(value):
+    assert dumps(value) == json.dumps(value, indent=1)
+
+
+@pytest.mark.parametrize("fixture", ["f1", "f2"])
+@pytest.mark.parametrize("profile", ["eta0", "eta15", "mixed"])
+def test_encoder_matches_stdlib_on_dumps(fixture, profile):
+    s = load_surface(fixture_path(fixture, profile))
+    for factor in (default_base_point(s), reference_factor(s)):
+        data = curvature_dump(s, factor)
+        assert dumps(data) == json.dumps(data, indent=1)
+    assert dumps(s.to_dict()) == json.dumps(s.to_dict(), indent=1)
+
+
+def test_encoder_matches_stdlib_on_a_large_surface():
+    s = torus_surface(11)
+    assert len(s.faces) == 242
+    data = curvature_dump(s, reference_factor(s))
+    assert dumps(data) == json.dumps(data, indent=1)
+    assert dumps(s.to_dict()) == json.dumps(s.to_dict(), indent=1)
+
+
+# sha256 of the curvature dump (written with --out and printed), the
+# default base point written by save_factor and the surface written by
+# save_surface, as the stdlib encoder wrote them; file and stdout agree
+# byte for byte.
+GOLDEN_SHA256 = {
+    "f1_pants_eta0": (
+        "fcb19991cbec548a2d2d97de200860f517dfe73fb98aa914ec36de4962762bc3",
+        "fcb19991cbec548a2d2d97de200860f517dfe73fb98aa914ec36de4962762bc3",
+        "409201a66cf7a2278ec7bf3a2277d86f679de0e0a892ce23df553dd49ee5613d",
+        "928c8f6c30b084ccdd8c2de64df0d03c2b8709e1d46ffa8505cb469e837ec9f1",
+    ),
+    "f1_pants_eta15": (
+        "1f7f7bdb57064a83ed790d0c15956b381eda09ffa27e1c92b6e732ee172ac90d",
+        "1f7f7bdb57064a83ed790d0c15956b381eda09ffa27e1c92b6e732ee172ac90d",
+        "409201a66cf7a2278ec7bf3a2277d86f679de0e0a892ce23df553dd49ee5613d",
+        "fd6522917fdc3a9276f70f7a1b838577a9a9915b4d574386eb8a944829c9b8f1",
+    ),
+    "f1_pants_mixed": (
+        "a80edfd80b6697ad66113ff6222bd32b70caf5933bd346961efcc41e5aead8d9",
+        "a80edfd80b6697ad66113ff6222bd32b70caf5933bd346961efcc41e5aead8d9",
+        "5eacadd8825a4dd1822795cb36932a503b2c444890fcda77639a2858ad7425c2",
+        "d80f70a494bc7738a629fe76c9111ca5abaff6bd886e5a15e59ac953a820003e",
+    ),
+    "f2_sixhex_eta0": (
+        "d9aa98d4af720d40a40001c0db9b44f1b7c14a490f7ab80371008a209c65986c",
+        "d9aa98d4af720d40a40001c0db9b44f1b7c14a490f7ab80371008a209c65986c",
+        "409201a66cf7a2278ec7bf3a2277d86f679de0e0a892ce23df553dd49ee5613d",
+        "dc4ff73d2b2f2c1e8fb002894764d80f9fe204edff7bd0f8a132dc7946d32015",
+    ),
+    "f2_sixhex_eta15": (
+        "f96ec6a924fad989683e8a813eb680b0130a38510c0148beaa9d666c2553e319",
+        "f96ec6a924fad989683e8a813eb680b0130a38510c0148beaa9d666c2553e319",
+        "409201a66cf7a2278ec7bf3a2277d86f679de0e0a892ce23df553dd49ee5613d",
+        "c6bb62b5b05755dd68321a08bd54cd72d88a632b52f6c46ee0d9718ca568d6f3",
+    ),
+    "f2_sixhex_mixed": (
+        "5f54ae060315a66ccdb0dd42881e327918fc61a0e65e88a7f7132da1657eb279",
+        "5f54ae060315a66ccdb0dd42881e327918fc61a0e65e88a7f7132da1657eb279",
+        "5eacadd8825a4dd1822795cb36932a503b2c444890fcda77639a2858ad7425c2",
+        "fd46dc2dba5d1fe8b99d5852e01b4f2f18421791ae422bffd54122fedaf512fc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_golden_output_digests(name, tmp_path, capsys):
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    path = str(FIXTURES / f"{name}.json")
+    s = load_surface(path)
+    base, dump, surf = tmp_path / "base.json", tmp_path / "dump.json", tmp_path / "surf.json"
+    save_factor(default_base_point(s), base)
+    save_surface(s, surf)
+    assert main(["curvature", path, str(base), "--out", str(dump)]) == 0
+    capsys.readouterr()
+    assert main(["curvature", path, str(base)]) == 0
+    printed = capsys.readouterr().out.encode()
+    outputs = (dump.read_bytes(), printed, base.read_bytes(), surf.read_bytes())
+    assert tuple(digest(b) for b in outputs) == GOLDEN_SHA256[name]

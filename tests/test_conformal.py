@@ -390,3 +390,27 @@ def test_sample_admissible_is_deterministic(sixhex_mixed):
     a = sample_admissible(sixhex_mixed, np.random.default_rng(9))
     b = sample_admissible(sixhex_mixed, np.random.default_rng(9))
     assert np.array_equal(a.alpha, b.alpha)
+
+
+def base_point_by_loop(s):
+    cap = 0.25 * math.pi
+    for e in s.edges:
+        cap = min(cap, 0.5 * math.acos(-min(e.eta, 1.0)))
+    return np.full(s.n_boundary, 0.5 * cap)
+
+
+@pytest.mark.parametrize("fixture", ["f1", "f2"])
+@pytest.mark.parametrize("profile", PROFILES)
+def test_default_base_point_matches_edge_loop(fixture, profile):
+    s = load(fixture, profile)
+    assert default_base_point(s).alpha.tobytes() == base_point_by_loop(s).tobytes()
+
+
+@pytest.mark.parametrize(
+    "etas", [(-0.5, 0.3, 2.0), (0.9, -0.99, 1.0), (1.5, 1.2, 3.0), (-0.25, -0.25, -0.3)]
+)
+def test_default_base_point_matches_edge_loop_on_weights(etas):
+    from hexflow import pair_of_pants
+
+    s = pair_of_pants(etas)
+    assert default_base_point(s).alpha.tobytes() == base_point_by_loop(s).tobytes()

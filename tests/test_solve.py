@@ -118,6 +118,21 @@ class TestVelocity:
                 velocity(method, s, K, Kbar, bad)
             assert err.value.min_eigenvalue == pytest.approx(-0.5)
 
+    def test_calabi_tests_definiteness_without_eigh(self, state, monkeypatch):
+        K, Kbar, J = state
+        expect = velocity("calabi", 0.0, K, Kbar, J)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the calabi branch must not diagonalise J")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        assert np.array_equal(velocity("calabi", 0.0, K, Kbar, J), expect)
+        assert np.array_equal(velocity("fractional", 1.0, K, Kbar, J), expect)
+        bad = np.array([[2.0, 1.0, 0.0], [1.0, 0.4, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(JacobianNotPD) as err:
+            velocity("calabi", 0.0, K, Kbar, bad)
+        assert err.value.min_eigenvalue == np.linalg.eigvalsh(bad)[0]
+
     def test_ricci_is_negative_potential_gradient(self, pants):
         s = pants
         a = reference_factor(s)

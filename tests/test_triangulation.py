@@ -1,21 +1,27 @@
+import dataclasses
 import json
 import logging
 import math
 
+import numpy as np
 import pytest
 
 from hexflow import (
     Edge,
     EtaOutOfRange,
     Face,
+    HexflowError,
     ParseError,
     Surface,
     ValidationError,
     check_structure_condition,
+    default_base_point,
     load_surface,
     pair_of_pants,
     save_surface,
 )
+from hexflow.conformal import curvature_dump
+from hexflow.triangulation import STRUCTURE_LABELS, SurfaceArrays
 from conftest import fixture_path
 
 
@@ -208,3 +214,291 @@ def test_fixture_counts():
     assert len(f2.edges) == 9
     assert len(f2.faces) == 6
     assert math.isclose(sum(1 for e in f2.edges if e.eta == 0.0), 9)
+
+
+# Single-fault mutations of f2_sixhex_mixed (and a few multi-fault files)
+# with the exception class and message the loader raised before it read
+# the records into arrays: (name, strict, [(path, value)], error, message).
+# A path () wraps the whole document in a list; DELETE removes the key.
+DELETE, WRAP = object(), object()
+LOADER_FAULTS = [
+    ('top_level_list', True, [((), WRAP)],
+     ParseError, 'top level must be an object'),
+    ('missing_n_boundary', True, [(('n_boundary',), DELETE)],
+     ParseError, "missing key 'n_boundary'"),
+    ('missing_edges', True, [(('edges',), DELETE)],
+     ParseError, "missing key 'edges'"),
+    ('missing_faces', True, [(('faces',), DELETE)],
+     ParseError, "missing key 'faces'"),
+    ('n_boundary_float', True, [(('n_boundary',), 3.0)],
+     ParseError, 'n_boundary must be an integer'),
+    ('n_boundary_string', True, [(('n_boundary',), '3')],
+     ParseError, 'n_boundary must be an integer'),
+    ('edges_not_list', True, [(('edges',), {})],
+     ParseError, 'edges must be a list'),
+    ('faces_not_list', True, [(('faces',), 'faces')],
+     ParseError, 'faces must be a list'),
+    ('edge_not_object', True, [(('edges', 4), [0, 2])],
+     ParseError, 'edge records must be objects'),
+    ('edge_missing_id', True, [(('edges', 4, 'id'), DELETE)],
+     ParseError, "edge record missing 'id'"),
+    ('edge_missing_ends', True, [(('edges', 4, 'ends'), DELETE)],
+     ParseError, "edge record missing 'ends'"),
+    ('edge_missing_eta', True, [(('edges', 4, 'eta'), DELETE)],
+     ParseError, "edge record missing 'eta'"),
+    ('edge_id_float', True, [(('edges', 4, 'id'), 4.0)],
+     ParseError, 'edge id must be an integer'),
+    ('edge_id_string', True, [(('edges', 4, 'id'), '4')],
+     ParseError, 'edge id must be an integer'),
+    ('edge_id_null', True, [(('edges', 4, 'id'), None)],
+     ParseError, 'edge id must be an integer'),
+    ('ends_float', True, [(('edges', 4, 'ends'), [0, 2.0])],
+     ParseError, 'edge 4: ends must be a pair of integers'),
+    ('ends_short', True, [(('edges', 4, 'ends'), [0])],
+     ParseError, 'edge 4: ends must be a pair of integers'),
+    ('ends_long', True, [(('edges', 4, 'ends'), [0, 2, 1])],
+     ParseError, 'edge 4: ends must be a pair of integers'),
+    ('ends_not_list', True, [(('edges', 4, 'ends'), '0,2')],
+     ParseError, 'edge 4: ends must be a pair of integers'),
+    ('ends_string_entry', True, [(('edges', 4, 'ends'), [0, '2'])],
+     ParseError, 'edge 4: ends must be a pair of integers'),
+    ('eta_bool', True, [(('edges', 4, 'eta'), True)],
+     ParseError, 'edge 4: eta must be a number'),
+    ('eta_string', True, [(('edges', 4, 'eta'), '1.1')],
+     ParseError, 'edge 4: eta must be a number'),
+    ('eta_null', True, [(('edges', 4, 'eta'), None)],
+     ParseError, 'edge 4: eta must be a number'),
+    ('eta_list', True, [(('edges', 4, 'eta'), [1.1])],
+     ParseError, 'edge 4: eta must be a number'),
+    ('face_not_object', True, [(('faces', 3), 3)],
+     ParseError, 'face records must be objects'),
+    ('face_missing_id', True, [(('faces', 3, 'id'), DELETE)],
+     ParseError, "face record missing 'id'"),
+    ('face_missing_corners', True, [(('faces', 3, 'corners'), DELETE)],
+     ParseError, "face record missing 'corners'"),
+    ('face_missing_edges', True, [(('faces', 3, 'edges'), DELETE)],
+     ParseError, "face record missing 'edges'"),
+    ('face_id_float', True, [(('faces', 3, 'id'), 3.5)],
+     ParseError, 'face id must be an integer'),
+    ('corners_float', True, [(('faces', 3, 'corners'), [0, 1.0, 2])],
+     ParseError, 'face 3: corners must be a triple of integers'),
+    ('corners_pair', True, [(('faces', 3, 'corners'), [0, 1])],
+     ParseError, 'face 3: corners must be a triple of integers'),
+    ('corners_not_list', True, [(('faces', 3, 'corners'), {'0': 1})],
+     ParseError, 'face 3: corners must be a triple of integers'),
+    ('face_edges_string', True, [(('faces', 3, 'edges'), [1, 5, '6'])],
+     ParseError, 'face 3: edges must be a triple of integers'),
+    ('face_edges_float', True, [(('faces', 3, 'edges'), [1.0, 5, 6])],
+     ParseError, 'face 3: edges must be a triple of integers'),
+    ('face_edges_long', True, [(('faces', 3, 'edges'), [1, 5, 6, 7])],
+     ParseError, 'face 3: edges must be a triple of integers'),
+    ('n_boundary_zero', True, [(('n_boundary',), 0)],
+     ValidationError, 'n_boundary must be a positive integer, got 0'),
+    ('n_boundary_negative', True, [(('n_boundary',), -2)],
+     ValidationError, 'n_boundary must be a positive integer, got -2'),
+    ('eta_at_bound', True, [(('edges', 4, 'eta'), -1)],
+     EtaOutOfRange, 'edge 4: eta = -1.0 is not > -1.0'),
+    ('eta_below_bound', True, [(('edges', 4, 'eta'), -1.5)],
+     EtaOutOfRange, 'edge 4: eta = -1.5 is not > -1.0'),
+    ('eta_nan', True, [(('edges', 4, 'eta'), math.nan)],
+     EtaOutOfRange, 'edge 4: eta = nan is not > -1.0'),
+    ('eta_minus_inf', True, [(('edges', 4, 'eta'), -math.inf)],
+     EtaOutOfRange, 'edge 4: eta = -inf is not > -1.0'),
+    ('duplicate_edge_id', True, [(('edges', 4, 'id'), 2)],
+     ValidationError, 'duplicate edge id 2'),
+    ('duplicate_face_id', True, [(('faces', 3, 'id'), 1)],
+     ValidationError, 'duplicate face id 1'),
+    ('endpoint_too_large', True, [(('edges', 4, 'ends'), [0, 3])],
+     ValidationError, 'edge 4: endpoint 3 outside [0, 3)'),
+    ('endpoint_negative', True, [(('edges', 4, 'ends'), [-1, 2])],
+     ValidationError, 'edge 4: endpoint -1 outside [0, 3)'),
+    ('endpoint_huge', True, [(('edges', 4, 'ends'), [0, 1000000000000000000000000000000])],
+     ValidationError, 'edge 4: endpoint 1000000000000000000000000000000 outside [0, 3)'),
+    ('corner_too_large', True, [(('faces', 3, 'corners'), [0, 1, 5])],
+     ValidationError, 'face 3: corner 5 outside [0, 3)'),
+    ('corner_negative', True, [(('faces', 3, 'corners'), [-3, 1, 2])],
+     ValidationError, 'face 3: corner -3 outside [0, 3)'),
+    ('repeated_edge_in_face', True, [(('faces', 3, 'edges'), [1, 5, 1])],
+     ValidationError, 'face 3: edge ids must be distinct'),
+    ('repeated_corner_strict', True, [(('faces', 3, 'corners'), [0, 0, 2])],
+     ValidationError, 'face 3: repeated corner in strict mode, corners=(0, 0, 2)'),
+    ('repeated_corner_nonstrict', False, [(('faces', 3, 'corners'), [0, 0, 2])],
+     ValidationError, 'face 3: edge 1 at slot 0 joins [1, 2], expected [0, 2]'),
+    ('unknown_edge_id', True, [(('faces', 3, 'edges'), [1, 5, 99])],
+     ValidationError, 'face 3: unknown edge id 99'),
+    ('wrong_slot_edge', True, [(('faces', 3, 'edges'), [5, 1, 6])],
+     ValidationError, 'face 3: edge 5 at slot 0 joins [0, 2], expected [1, 2]'),
+    ('wrong_slot_edge_last', True, [(('faces', 3, 'edges'), [1, 5, 0])],
+     ValidationError, 'face 3: edge 0 at slot 2 joins [1, 2], expected [0, 1]'),
+    # several faults: the earliest record, and within it the first check, wins
+    ('multi_edges_earliest_wins', True, [
+        (('edges', 7, 'eta'), -2.0),
+        (('edges', 5, 'ends'), [0, 7]),
+        (('edges', 3, 'id'), 1),
+        (('edges', 3, 'eta'), -3.0),
+    ], ValidationError, 'duplicate edge id 1'),
+    ('multi_parse_before_validation', True, [
+        (('edges', 1, 'eta'), -2.0),
+        (('faces', 5, 'corners'), [0, 1, 2.5]),
+    ], ParseError, 'face 5: corners must be a triple of integers'),
+    ('multi_parse_edges_before_faces', True, [
+        (('faces', 0, 'id'), '0'),
+        (('edges', 8, 'ends'), [0]),
+    ], ParseError, 'edge 8: ends must be a pair of integers'),
+    ('multi_record_first_check', True, [
+        (('edges', 6, 'ends'), [0.0, 1]),
+        (('edges', 6, 'id'), 6.5),
+    ], ParseError, 'edge id must be an integer'),
+    ('multi_face_first_check', True, [
+        (('faces', 2, 'edges'), [1, 4, 99]),
+        (('faces', 2, 'corners'), [0, 0, 2]),
+    ], ValidationError, 'face 2: repeated corner in strict mode, corners=(0, 0, 2)'),
+    ('multi_face_slot_order', True, [(('faces', 1, 'edges'), [0, 99, 4])],
+     ValidationError, 'face 1: unknown edge id 99'),
+    ('multi_faces_earliest_wins', True, [
+        (('faces', 4, 'edges'), [2, 5, 99]),
+        (('faces', 2, 'edges'), [1, 8, 77]),
+        (('faces', 5, 'id'), 0),
+    ], ValidationError, 'face 2: edge 8 at slot 1 joins [0, 1], expected [0, 2]'),
+    ('multi_edge_before_face', True, [
+        (('faces', 0, 'corners'), [0, 1, 9]),
+        (('edges', 8, 'eta'), -1.0),
+    ], EtaOutOfRange, 'edge 8: eta = -1.0 is not > -1.0'),
+]
+
+
+def mutated(changes):
+    data = json.loads(fixture_path("f2", "mixed").read_text())
+    for path, value in changes:
+        if not path:
+            data = [data]
+            continue
+        obj = data
+        for key in path[:-1]:
+            obj = obj[key]
+        if value is DELETE:
+            del obj[path[-1]]
+        else:
+            obj[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "strict, changes, error, message",
+    [row[1:] for row in LOADER_FAULTS],
+    ids=[row[0] for row in LOADER_FAULTS],
+)
+def test_loader_error_contract(tmp_path, strict, changes, error, message):
+    path = write_surface(tmp_path, mutated(changes))
+    with pytest.raises(HexflowError) as info:
+        load_surface(path, strict=strict)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_unreferenced_edge_warning_text(tmp_path, caplog):
+    data = pants_dict()
+    data["edges"] += [{"id": 9, "ends": [0, 1], "eta": 0.5}, {"id": -4, "ends": [2, 2], "eta": 0.0}]
+    with caplog.at_level(logging.WARNING, logger="hexflow.triangulation"):
+        load_surface(write_surface(tmp_path, data))
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "edges not referenced by any face: [-4, 9]"
+    ]
+
+
+def surface_from_records(data, strict=True):
+    """The Surface constructor fed with Edge and Face tuples of a file's
+    records."""
+    edges = [Edge(e["id"], tuple(e["ends"]), float(e["eta"])) for e in data["edges"]]
+    faces = [Face(f["id"], tuple(f["corners"]), tuple(f["edges"])) for f in data["faces"]]
+    return Surface(data["n_boundary"], edges, faces, strict_mode=strict)
+
+
+@pytest.mark.parametrize("fixture", ["f1", "f2"])
+@pytest.mark.parametrize("profile", ["eta0", "eta15", "mixed"])
+def test_tuples_and_file_give_the_same_surface(fixture, profile):
+    path = fixture_path(fixture, profile)
+    built = surface_from_records(json.loads(path.read_text()))
+    loaded = load_surface(path)
+    assert built == loaded
+    for field in dataclasses.fields(SurfaceArrays):
+        a, b = getattr(built.arrays, field.name), getattr(loaded.arrays, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+    assert built.edges == loaded.edges
+    assert built.faces == loaded.faces
+    assert built.to_dict() == loaded.to_dict()
+    for f in loaded.faces:
+        assert built.face_etas(f) == loaded.face_etas(f)
+    for e in loaded.edges:
+        assert built.edge(e.id) == loaded.edge(e.id) == e
+
+
+def test_ids_beyond_int64_load(tmp_path):
+    data = json.loads(fixture_path("f2", "mixed").read_text())
+    big = 2**70
+    data["edges"][4]["id"] = big
+    for face in data["faces"]:
+        face["edges"] = [big if e == 4 else e for e in face["edges"]]
+    data["faces"][3]["id"] = -big
+    loaded = load_surface(write_surface(tmp_path, data))
+    assert loaded == surface_from_records(data)
+    assert loaded.edge(big).ends == (0, 2)
+    assert loaded.to_dict() == data
+
+
+def test_tuple_constructor_checks_shapes():
+    edges = [Edge(0, (1, 2), 0.0), Edge(1, (0, 2, 1), 0.0), Edge(2, (0, 1), 0.0)]
+    faces = [Face(0, (0, 1, 2), (0, 1, 2))]
+    with pytest.raises(ValidationError, match="^edge 1: ends must be a pair$"):
+        Surface(3, edges, faces)
+    edges[1] = Edge(1, (0, 2), 0.0)
+    with pytest.raises(ValidationError, match="^face 1: corners and edges must be triples$"):
+        Surface(3, edges, faces + [Face(1, (0, 1, 2), (0, 1))])
+    with pytest.raises(ValidationError, match="^duplicate face id 0$"):
+        Surface(3, edges, faces + [Face(0, (0, 1, 2), (0, 1))])
+    with pytest.raises(ValidationError, match="^n_boundary must be a positive integer, got 3.0$"):
+        Surface(3.0, edges, faces)
+
+
+def test_loaded_surface_builds_no_tuples(tmp_path):
+    s = load_surface(fixture_path("f2", "mixed"))
+    assert "edges" not in vars(s) and "faces" not in vars(s)
+    curvature_dump(s, default_base_point(s))
+    check_structure_condition(s)
+    assert "edges" not in vars(s) and "faces" not in vars(s)
+    assert len(s.faces) == 6 and "faces" in vars(s)
+
+
+def test_surface_is_hashable_and_equal_by_content():
+    assert pair_of_pants() == pair_of_pants()
+    assert hash(pair_of_pants()) == hash(pair_of_pants())
+    assert pair_of_pants() != pair_of_pants((0.5, 0.0, 0.0))
+    assert pair_of_pants() != "pants"
+
+
+def structure_violations_by_loop(s):
+    out = []
+    for f in s.faces:
+        e_ij, e_ik, e_jk = s.face_etas(f)
+        gammas = (e_jk + e_ij * e_ik, e_ik + e_ij * e_jk, e_ij + e_ik * e_jk)
+        out += [(f.id, label, g) for label, g in zip(STRUCTURE_LABELS, gammas) if g < 0.0]
+    return out
+
+
+@pytest.mark.parametrize("surface", [
+    *(fixture_path(f, p) for f in ("f1", "f2") for p in ("eta0", "eta15", "mixed")),
+    pair_of_pants((-0.5, 0.0, 0.0)),
+    pair_of_pants((-0.9, 0.3, -0.2)),
+    pair_of_pants((-0.1, -0.7, 0.45)),
+], ids=str)
+def test_structure_condition_matches_face_loop(surface):
+    s = surface if isinstance(surface, Surface) else load_surface(surface)
+    got = check_structure_condition(s)
+    want = structure_violations_by_loop(s)
+    assert [(f, label, g.hex()) for f, label, g in got] == [
+        (f, label, g.hex()) for f, label, g in want
+    ]
+    assert all(type(g) is float for _, _, g in got)
