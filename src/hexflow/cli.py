@@ -89,7 +89,7 @@ def _load_target(path, n: int) -> np.ndarray:
         raise ParseError(f"target file {path} must be an object with key 'K'")
     try:
         K = np.asarray(data["K"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"target file {path}: {exc}") from exc
     if K.shape != (n,):
         raise ParseError(f"target has {K.size} components, surface has {n}")

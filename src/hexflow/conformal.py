@@ -93,7 +93,7 @@ def load_factor(path, n: int | None = None) -> ConformalFactor:
             factor = ConformalFactor(np.asarray(data["alpha"], dtype=float))
         else:
             factor = ConformalFactor.from_u(np.asarray(data["u"], dtype=float))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"factor file {path}: {exc}") from exc
     if n is not None and len(factor) != n:
         raise ParseError(
@@ -212,24 +212,27 @@ def _scatter_arcs(s: Surface, arcs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvatureVector:
-    """Boundary lengths K plus the per-face arc-length table used to build
-    them: face_angles[f] holds (th_i, th_j, th_k) by corner slot of the f-th
-    face in surface order, an (F, 3) array."""
+    """Boundary lengths K, the per-face arcs behind them (face_angles[f]
+    holds (th_i, th_j, th_k) by corner slot of the f-th face, shape (F, 3))
+    and, when requested, the Jacobian dK/da from the same kernel call."""
 
     K: np.ndarray
     face_angles: np.ndarray
+    jacobian: GlobalJacobian | None = None
 
     def __len__(self) -> int:
         return self.K.shape[0]
 
 
-def curvature(s: Surface, a: ConformalFactor) -> CurvatureVector:
+def curvature(s: Surface, a: ConformalFactor, jacobian: bool = False) -> CurvatureVector:
     """Total boundary length per component: the sum of hexagon boundary arcs
-    over all face corners incident to it.  Raises NotAdmissible (with the
+    over all face corners incident to it, and dK/da if jacobian.  The one
+    gated kernel evaluation of a factor: raises NotAdmissible (with the
     report attached) for inadmissible factors."""
     _check_factors(s, a.alpha)
-    arcs = _faces(s, a.alpha).arcs
-    return CurvatureVector(K=_scatter_arcs(s, arcs), face_angles=arcs)
+    faces = _faces(s, a.alpha, jacobian)
+    J = _assemble(s, faces.jacobian) if jacobian else None
+    return CurvatureVector(_scatter_arcs(s, faces.arcs), faces.arcs, J)
 
 
 def curvature_from_lengths(s: Surface, lengths: dict[int, float]) -> np.ndarray:
@@ -299,9 +302,8 @@ class GlobalJacobian:
 
 
 def global_jacobian(s: Surface, a: ConformalFactor) -> GlobalJacobian:
-    """Assemble dK/da from the kernel's exactly symmetric blocks."""
-    _check_factors(s, a.alpha)
-    return _assemble(s, _faces(s, a.alpha, jacobian=True).jacobian)
+    """dK/da, the curvature evaluation's exactly symmetric Jacobian."""
+    return curvature(s, a, jacobian=True).jacobian
 
 
 def _assemble(s: Surface, blocks: np.ndarray) -> GlobalJacobian:
@@ -418,16 +420,12 @@ def sample_admissible(
 
 
 def curvature_dump(s: Surface, a: ConformalFactor) -> dict:
-    """JSON-ready dump of curvature, Jacobian triplets and edge margins, from
-    the admissibility gate and one kernel run."""
-    _check_factors(s, a.alpha)
-    faces = _faces(s, a.alpha, jacobian=True)
-    K = _scatter_arcs(s, faces.arcs)
-    J = _assemble(s, faces.jacobian)
+    """JSON-ready dump of K, the Jacobian triplets and the edge margins."""
+    c = curvature(s, a, jacobian=True)
     margins = edge_margins(s.arrays, a.alpha)
     return {
-        "K": K.tolist(),
-        "jacobian": J.to_coo_dict(),
+        "K": c.K.tolist(),
+        "jacobian": c.jacobian.to_coo_dict(),
         "margins": dict(zip(map(str, s.arrays.edge_ids), margins.tolist())),
     }
 

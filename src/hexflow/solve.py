@@ -19,6 +19,12 @@ it back, up to DT_CAP_FACTOR times dt0.  The Newton solver's line search is
 the same guarded step with an Armijo test in place of monotonicity.  The
 step-control constants live in `hexflow.tolerances`.
 
+Each trial that passes the guard's box and margin test is evaluated once,
+by one `curvature` call that also gives J where the method needs it; the
+accepted trial's K and J drive the next step.  The guard rejects without
+raising, and curvature keeps its own gate (ADMISSIBILITY_EPS) as the
+public entry's check.
+
 Flows and the Newton solver record one `RunLog` row per accepted step.
 Nothing in a flow reads the potential, so its trace keeps the accepted path
 and computes the potential column, in one batched line integral, when the
@@ -40,7 +46,6 @@ from .conformal import (
     curvature,
     default_base_point,
     factor_margin,
-    global_jacobian,
     potential,
     _segment_curvature_integral,
 )
@@ -269,10 +274,11 @@ def run_flow(
     Kbar = _target(s, Kbar)
     trace = RunLog(TRACE_COLUMNS, structure_condition=structure_condition_holds(s))
 
+    needs_jacobian = cfg.method == "calabi" or (cfg.method == "fractional" and cfg.s != 0.0)
     alpha = a0.alpha.copy()
-    K = curvature(s, ConformalFactor(alpha)).K  # raises if a0 inadmissible
-    resid = float(np.max(np.abs(K - Kbar)))
-    cal = calabi_energy(K, Kbar)
+    c = curvature(s, ConformalFactor(alpha), needs_jacobian)  # raises if a0 inadmissible
+    resid = float(np.max(np.abs(c.K - Kbar)))
+    cal = calabi_energy(c.K, Kbar)
     path = [alpha]
     trace.pending = ("potential", lambda: _path_potential(s, path, Kbar))
     rows = trace._rows
@@ -282,9 +288,6 @@ def run_flow(
         trace.status = CONVERGED
         return ConformalFactor(alpha), trace
 
-    needs_jacobian = cfg.method == "calabi" or (
-        cfg.method == "fractional" and cfg.s != 0.0
-    )
     dt = float(cfg.dt0)  # a float, so the trace writes it as one
     dt_cap = cfg.dt0 * DT_CAP_FACTOR
     t = 0.0
@@ -292,14 +295,13 @@ def run_flow(
 
     # reads cal when called, so it compares with the current point
     def monotone(trial, _):
-        K_trial = curvature(s, ConformalFactor(trial)).K
-        cal_trial = calabi_energy(K_trial, Kbar)
-        return None if cal_trial > cal else (K_trial, cal_trial)
+        c_trial = curvature(s, ConformalFactor(trial), needs_jacobian)
+        cal_trial = calabi_energy(c_trial.K, Kbar)
+        return None if cal_trial > cal else (c_trial, cal_trial)
 
     for step in range(1, cfg.max_steps + 1):
-        J = global_jacobian(s, ConformalFactor(alpha)) if needs_jacobian else None
         try:
-            v = velocity(cfg.method, cfg.s, K, Kbar, J)
+            v = velocity(cfg.method, cfg.s, c.K, Kbar, c.jacobian)
         except JacobianNotPD:
             trace.status = JACOBIAN_NOT_PD
             return ConformalFactor(alpha), trace
@@ -313,7 +315,7 @@ def run_flow(
         if guarded is None:
             trace.status = STALLED_STEP
             return ConformalFactor(alpha), trace
-        trial, accepted_dt, margin, (K, cal) = guarded
+        trial, accepted_dt, margin, (c, cal) = guarded
         if accepted_dt < dt:
             accepted_run = 0
         dt = accepted_dt
@@ -321,7 +323,7 @@ def run_flow(
         alpha = trial
         path.append(alpha)
         t += dt
-        resid = float(np.max(np.abs(K - Kbar)))
+        resid = float(np.max(np.abs(c.K - Kbar)))
         rows.append((step, t, dt, resid, cal, None, margin))
 
         if resid <= cfg.tol:
@@ -397,9 +399,9 @@ def solve_prescribed(
     base = default_base_point(s)
     log = RunLog(NEWTON_COLUMNS)
     alpha = a0.alpha.copy()
-    K = curvature(s, ConformalFactor(alpha)).K
+    c = curvature(s, ConformalFactor(alpha), jacobian=True)
     pot = potential(s, ConformalFactor(alpha), Kbar, base)
-    resid = float(np.max(np.abs(K - Kbar)))
+    resid = float(np.max(np.abs(c.K - Kbar)))
     log.rows.append((0, resid, 0.0, pot, factor_margin(s, alpha), False))
     if resid <= cfg.tol:
         log.status = CONVERGED
@@ -414,12 +416,12 @@ def solve_prescribed(
 
     previous_fallback = False
     for it in range(1, cfg.max_iters + 1):
-        grad = K - Kbar
-        J = global_jacobian(s, ConformalFactor(alpha)).dense()
+        grad = c.K - Kbar
+        J = c.jacobian.dense()
         fallback = False
         try:
-            c = np.linalg.cholesky(J)
-            d = -np.linalg.solve(c.T, np.linalg.solve(c, grad))
+            L = np.linalg.cholesky(J)
+            d = -np.linalg.solve(L.T, np.linalg.solve(L, grad))
         except np.linalg.LinAlgError:
             if previous_fallback:
                 min_eig = float(np.linalg.eigvalsh(J).min())
@@ -444,8 +446,8 @@ def solve_prescribed(
             )
         alpha, lam, margin, dpot = guarded
         pot += dpot
-        K = curvature(s, ConformalFactor(alpha)).K
-        resid = float(np.max(np.abs(K - Kbar)))
+        c = curvature(s, ConformalFactor(alpha), jacobian=True)
+        resid = float(np.max(np.abs(c.K - Kbar)))
         log.rows.append((it, resid, lam, pot, margin, fallback))
         if resid <= cfg.tol:
             log.status = CONVERGED

@@ -469,6 +469,18 @@ def _parse_table(fault: _Fault, kind: str, ids: list, key: str, rows: list, widt
     return table
 
 
+def _eta_fault(v) -> str | None:
+    """What is wrong with the JSON weight v, or None for a number that
+    converts to a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return "must be a number"
+    try:
+        float(v)
+    except OverflowError:
+        return "is an integer beyond the float range"
+    return None
+
+
 def _parse_surface_dict(data: dict, strict: bool) -> Surface:
     _require(isinstance(data, dict), "top level must be an object")
     for key in ("n_boundary", "edges", "faces"):
@@ -480,9 +492,10 @@ def _parse_surface_dict(data: dict, strict: bool) -> Surface:
     fault, (edge_ids, ends, etas) = _parse_records(data["edges"], "edge", ("id", "ends", "eta"))
     ends = _parse_table(fault, "edge", edge_ids, "ends", ends, 2)
     etas = etas[: fault.limit]
-    if set(map(type, etas)) - {int, float}:
-        fault.check([isinstance(v, bool) or not isinstance(v, (int, float)) for v in etas],
-                    lambda i: f"edge {edge_ids[i]}: eta must be a number", ParseError)
+    if set(map(type, etas)) - {float}:
+        faults = list(map(_eta_fault, etas))
+        fault.check([f is not None for f in faults],
+                    lambda i: f"edge {edge_ids[i]}: eta {faults[i]}", ParseError)
     fault.raise_first()
 
     fault, (face_ids, corners, face_edges) = _parse_records(

@@ -21,10 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .conformal import _check_factors, _faces, _segment_curvature_integral, factor_margins
+from .conformal import (
+    ConformalFactor, _check_factors, _faces, _segment_curvature_integral, curvature, factor_margins,
+)
 from .errors import DomainError
 from .hexagon import CornerAlpha, FaceEta
-from .kernel import FaceValues
 from .tolerances import ADMISSIBILITY_EPS, BATCH_FACE_EVALS
 from .triangulation import Edge, Face, Surface
 
@@ -38,7 +39,8 @@ class PyramidChart:
     base_alpha: CornerAlpha
 
     def __post_init__(self):
-        _face_values(self, self.base_alpha)  # raises NotAdmissible if bad
+        # raises NotAdmissible if the base point is bad
+        curvature(self.surface, ConformalFactor(self.base_alpha.as_tuple()))
 
     @cached_property
     def surface(self) -> Surface:
@@ -50,12 +52,6 @@ class PyramidChart:
             Edge(id=2, ends=(0, 1), eta=self.eta.e_ij),
         )
         return Surface(n_boundary=3, edges=edges, faces=(Face(0, (0, 1, 2), (0, 1, 2)),))
-
-
-def _face_values(chart: PyramidChart, a: CornerAlpha, jacobian: bool = False) -> FaceValues:
-    alpha = np.array(a.as_tuple())
-    _check_factors(chart.surface, alpha)
-    return _faces(chart.surface, alpha, jacobian)
 
 
 def relative_volume(chart: PyramidChart, a: CornerAlpha) -> float:
@@ -71,13 +67,14 @@ def relative_volume(chart: PyramidChart, a: CornerAlpha) -> float:
 
 def volume_gradient(chart: PyramidChart, a: CornerAlpha) -> np.ndarray:
     """Gradient of the relative volume: -(1/2) times the boundary arcs."""
-    return -0.5 * _face_values(chart, a).arcs[0]
+    return -0.5 * curvature(chart.surface, ConformalFactor(a.as_tuple())).K
 
 
 def volume_hessian(chart: PyramidChart, a: CornerAlpha) -> np.ndarray:
     """Hessian of the relative volume: -(1/2) times the angle Jacobian.
     All eigenvalues are negative under the structure condition."""
-    return -0.5 * _face_values(chart, a, jacobian=True).jacobian[0]
+    J = curvature(chart.surface, ConformalFactor(a.as_tuple()), jacobian=True).jacobian
+    return -0.5 * J.dense()
 
 
 def volume_grid(chart: PyramidChart, alphas: np.ndarray):

@@ -253,6 +253,42 @@ def test_malformed_target_exits_2(pants_path, factor_file, tmp_path, command, K)
     assert main([command, pants_path, factor_file([math.pi / 6] * 3), str(tpath)]) == 2
 
 
+HUGE_INT = "1" + "0" * 400  # valid JSON, beyond the float range
+
+
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+class TestHugeIntegers:
+    """An integer beyond the float range in any input file exits 2 with a
+    ParseError naming the file (for a surface, the edge) and no traceback."""
+
+    def test_surface_eta(self, tmp_path, capsys, sign):
+        text = fixture_path("f1", "eta0").read_text()
+        data = json.loads(text)
+        data["edges"][1]["eta"] = 12345
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(data).replace("12345", sign + HUGE_INT))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: edge 1: eta is an integer beyond the float range\n"
+
+    @pytest.mark.parametrize("key", ["alpha", "u"])
+    def test_factor(self, pants_path, tmp_path, capsys, sign, key):
+        path = tmp_path / "factor.json"
+        path.write_text(f'{{"{key}": [0.5, {sign}{HUGE_INT}, 0.5]}}')
+        assert main(["curvature", pants_path, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: factor file {path}: int too large to convert to float\n"
+        )
+
+    @pytest.mark.parametrize("command", ["flow", "solve"])
+    def test_target(self, pants_path, factor_file, tmp_path, capsys, sign, command):
+        path = tmp_path / "target.json"
+        path.write_text(f'{{"K": [1.0, {sign}{HUGE_INT}, 1.0]}}')
+        assert main([command, pants_path, factor_file([math.pi / 6] * 3), str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: target file {path}: int too large to convert to float\n"
+        )
+
+
 class TestJacobianCheck:
     def test_zero_weight_report(self, pants_path, capsys):
         assert main(["jacobian-check", pants_path, "--samples", "25"]) == 0
@@ -476,3 +512,188 @@ def test_golden_output_digests(name, tmp_path, capsys):
     printed = capsys.readouterr().out.encode()
     outputs = (dump.read_bytes(), printed, base.read_bytes(), surf.read_bytes())
     assert tuple(digest(b) for b in outputs) == GOLDEN_SHA256[name]
+
+
+# The runs pinned below, by the options after the three input files; a
+# flow writes its trace with --trace, a solve its log with --log.
+RUN_OPTIONS = {
+    "ricci": ("flow", "--method", "ricci"),
+    "calabi": ("flow", "--method", "calabi"),
+    "fractional_0.5": ("flow", "--method", "fractional", "--s", "0.5"),
+    "fractional_2": ("flow", "--method", "fractional", "--s", "2"),
+    "solve": ("solve",),
+}
+
+# sha256 of the trace (or log), the final factor and stdout of each run from
+# the fixture's default base point toward the benchmark's fixed target
+# K(a*), a* = base * 1.075.
+RUN_SHA256 = {
+    ("f1_pants_eta0", "ricci"): (
+        "5484b77b1da18a53e523f5a1eb74398a6882ebc569e5ec5e7b369cc79a993997",
+        "f46c7bf49452fd45aad3b5f4c04959113d1e9917833cc0eb9f072c43b46f3ca4",
+        "e3ed3f8207a8f06b8e3735c9e8c9563ab04a55982e52f90f542361a403b5a5da",
+    ),
+    ("f1_pants_eta0", "calabi"): (
+        "9add9b13baa77c2c8288a383279e075f2b41cf6b529ee8c5e5c1be0e5b8bee93",
+        "8f4f5e1737147d5ccfb51af15d769e5db696fba518fe838fba25767e54adb859",
+        "b8c94fbe28f8f623e4188e84df1fa85dfbf0378dc2f5b2bf4cf04330c8dfaff2",
+    ),
+    ("f1_pants_eta0", "fractional_0.5"): (
+        "4cf94963180b7bf48fac61e6dcf3dc7805df8468f6b8bf9db0f698f16748f796",
+        "9f78aa5b971b9bd767f5d6c1828417142a21b58c8ad83f8092d234e076b071d3",
+        "5583990ea7572ef70964c4a24f72d2557372e89003355293d3f1712092880a31",
+    ),
+    ("f1_pants_eta0", "fractional_2"): (
+        "c705ea5f33615039ec70fb17ab5ba1641aec04d0603061e19d837ffe012cf098",
+        "d7c8ed64f8e8be7f27ddef03c590bde7471ad8f25328d910470cc4167fe9acf5",
+        "79faf83d15ffdf2d56e1adf07a7c0546964a645d9ede4f1bbf17b0e400b25e51",
+    ),
+    ("f1_pants_eta0", "solve"): (
+        "c038470a3d69d24bdefdd785d608755ad99009b72e551cb403dabc0954322096",
+        "791a95daf4e8654cf1a8a1523a842f03d933a429c85a5abda54a8410f4e5afcd",
+        "b6b74796894cd0b322fbe1cd30f7b3b52febd5c14b3903ac38cc9d86fb82f1d4",
+    ),
+    ("f1_pants_eta15", "ricci"): (
+        "64141c6e58b3094b3aab2b6fabd00e2be8e28fefa537ae5fd13ab0912e7fe266",
+        "e20bcb92f5f2757b5c8a3fd7124f9242c0758c083cc666aa1a0a99c255ab7d7c",
+        "f09f4e785b013f02e37e217d08290c78c72cd797afcaad44e7e9c703138b1008",
+    ),
+    ("f1_pants_eta15", "calabi"): (
+        "fb4374289d67798cefaad68a7c32d2d003e6f1532cadfaf56c7f1b5273ddc514",
+        "517a0123d33576d8ac743370e54298402e640655a39a2ad000624d5d30d05dcc",
+        "297d24ca24f21b165f99b19c3031cc67c8cfd924e7bda4fe3ae144d8e8326ec9",
+    ),
+    ("f1_pants_eta15", "fractional_0.5"): (
+        "d1be40d9a4a6db5080d1b9bc6cb55bed7b3104858a46d8ef44c354013226b3ff",
+        "7b570c8172f845ed066f5cf96e9afbe91facfcbe0888465c73dbe962f587f008",
+        "f3392facb10ed9e6c47059eec1d1efdf4ac655e3410ec4096d064cdd5cca8b9f",
+    ),
+    ("f1_pants_eta15", "fractional_2"): (
+        "f37c7c4d87342ddad47e2d8a84e5ea11652f6679a0b631a7aa62c1cf4694d550",
+        "95ec9355bfc757d155a23f558ff5f627b103a0b4a60e108ff4784a0eee9b0cf6",
+        "906cc10885e399c521ab43d17df4799a24b9032c5cc894ea8d2d31e903ba2f28",
+    ),
+    ("f1_pants_eta15", "solve"): (
+        "3169b01d573bddad24976c9ac6a06a18559911b44620fc8978a19db39471aa89",
+        "0807eafe4317d85a8a766a848fe78de9879e227a12b99d1db72f5615d0491cdf",
+        "4fccfc6e319eb0b10d81a31bbb680e894b19ebccc3c98ce8a3a8ae657a9da999",
+    ),
+    ("f1_pants_mixed", "ricci"): (
+        "6d4bf828b6ddf7e778d9e9d96fe9006854f2ffc682a0f2291bca4a75cd823b14",
+        "1f70e60213efe329c1ece32fa6f2d30bcd15b2e98e87b953b518377ece8bd709",
+        "55e3ddd96f5578089e2a55fcba2f434d80c5b39f14e022d0f6240174ca2b7c66",
+    ),
+    ("f1_pants_mixed", "calabi"): (
+        "41d0e6653403dab7dbd7c46589cffd7ce683e97acc55487abd1813ae57906df7",
+        "ae90371b415f3b23e122364fbc8c084c9622b65d5687ec82d51b67898b7e3ab1",
+        "550e321607df6e0940a02f643f503fd3aa1e3e0ecd0fc2d5ee0f0312e868ee64",
+    ),
+    ("f1_pants_mixed", "fractional_0.5"): (
+        "3ff7955915a64020fc9535f02824a326f2b01625a7ad9c5500f85c3c4057462f",
+        "56d4a75b54bb756cc46075ce32472dd58a9be9d725e228516e8257f3b3e3cca0",
+        "19f02660a40e376fe287823579938f19166e0ad359e38a0a6157b5da986c0146",
+    ),
+    ("f1_pants_mixed", "fractional_2"): (
+        "7b6c171cb51b6252009901a53b49a39465232a2fec0ad08725cea54353350833",
+        "c64291f4797840335b1e95360a3f18f7379dc2e4c5ea19ee965ffc163f5940b3",
+        "195bdf0931d48c0b0501d64d3bf6a42d7421ebd4d7ab74f8fc525b01d1afa0c9",
+    ),
+    ("f1_pants_mixed", "solve"): (
+        "471dc1cb51d14b9e771f490032c88621cc5eb62ee444b10f3fb9c833662b5b33",
+        "4269850a60d53ec778fadc5d7494c30716a10a09e0ebbe87c4a07ed239326893",
+        "1a211c189a74e6a89ea37b2cd6c586515e63a03649a49c64ccfd52fdb1c2ba1c",
+    ),
+    ("f2_sixhex_eta0", "ricci"): (
+        "fa4e19a773e4fddad900000cc7ce65152d83b7d586c562c47846014d56d13c49",
+        "950b26dc67205d09f460c46c9218b6900f3ac4d4ecab76a2b1a4fa19bfe5721e",
+        "75320f2933ed7175ba2b511f0ab5983483cec5c27f4ba81e7717fc753ca71804",
+    ),
+    ("f2_sixhex_eta0", "calabi"): (
+        "d5c03d42f36eeb547cf2efeafa01402fc2b49ea7e0cfc7751d9373b53b044def",
+        "83c699814b0e748acf862acdb59c77dcda7c65205922882c82fa8f151083394f",
+        "aa8de806ff4fc2b4ab10bf3d213b14783d429e8ab4c65e8b6c6c113dc46051c8",
+    ),
+    ("f2_sixhex_eta0", "fractional_0.5"): (
+        "80cca6407f9dc0378e44c905cf3dbd0c5c158f497455ae5f5397b5b1fd323046",
+        "e2bfd1e7fd7fa50b7fc2dfd3c253f34073f8632b5cd8bf13298b6d52cf866187",
+        "13a78c44da2d9b1c95a27d4807276f56d21eab674f7f25ffe96d8c40da53a351",
+    ),
+    ("f2_sixhex_eta0", "fractional_2"): (
+        "434e0477a3d00f8949ad143775353ac984de4b8b7a554a69b61319548fa4915f",
+        "0fa2bfd597f6b6e205fc32b076ec8578850130724d9d0beae1726343f98e55d7",
+        "9e663749b4195d03d407ef3ce459b0fcca17cae3c023a548a89f5f2edd185dd3",
+    ),
+    ("f2_sixhex_eta0", "solve"): (
+        "3d7b84adb6966865f4c9d245abfc1db1e3bce1afd9aa108416ac4e441a4377c2",
+        "da2fcbf274aefe927348eb4697ed82a5d6316f01fda3032e3d530f48374a376d",
+        "f3c326f638e54fa899fb65db317d2224b54a2ffe8208bac96de17ea5e44a3e43",
+    ),
+    ("f2_sixhex_eta15", "ricci"): (
+        "8fe4b920e5c95ddbcb7ec6159ec7f359f276eac6d3caba024167a2ec64372913",
+        "0b30b03a9e339125abaa1fd760a4ff30ba0f73e589f2ab2b70ad885fa14d8867",
+        "c9fdef46616c9aca01a96bce6887a326c0178416ffaee8c15ef962b88ad74b07",
+    ),
+    ("f2_sixhex_eta15", "calabi"): (
+        "9e6fae3ee02c69fe8cd164560f9d75059ea0a1f2b0b0ad042617c9b6bb24fe8b",
+        "c958728ca281a7c3a60f5c47bb99632ad5376ca7e6e7cae25a0d89ace432f5e5",
+        "0bff7d8e23262de6c77774e291d1bbc30688ccb6c71d4b4256526471698fe695",
+    ),
+    ("f2_sixhex_eta15", "fractional_0.5"): (
+        "a958f30c97893808756004697cb25048d1e9018babc306e90450c1315180c30c",
+        "6be4d4cd9a012814bc243000d17a6aff952d96d602fe5e9fbe4e0415c794ba2e",
+        "18555a0dd65b6765cf4b3057d637466629967f6b17ef57c8f871cdf8b553703f",
+    ),
+    ("f2_sixhex_eta15", "fractional_2"): (
+        "b3920cbeceeea64e25828501ffeafc487bec3d54721ecd1dba446f5b4ba0ab51",
+        "3a12af851672572b9384efb07ffb9783763fa3fb903defbabbf6f59af402025a",
+        "4588d3b29f935ceb95ac485863eb312d1158f14b64206791c5c55dd7a7a741b0",
+    ),
+    ("f2_sixhex_eta15", "solve"): (
+        "5698a6fdf87c6efbbe302def5df4469a7a73c52d4d22ffae8b10063bd42d0a07",
+        "7d6d3f8d30122a0dbb36865a68ef6c03b2170cb959ac7fe390a1b3d2399f7a0e",
+        "4fccfc6e319eb0b10d81a31bbb680e894b19ebccc3c98ce8a3a8ae657a9da999",
+    ),
+    ("f2_sixhex_mixed", "ricci"): (
+        "d8d663e0a72308a6ae701dfd1a1af0df3caaca5ec946e1e76a92aaacad126722",
+        "0c9a0c7cc05742458e22fc272fb2aa2977db9d27a68756b9890bcf5ca1e0de91",
+        "859af8a04b6807aaf3f7c84274e6b93d8f79d5a338cf7bbfe4d243bca495bee7",
+    ),
+    ("f2_sixhex_mixed", "calabi"): (
+        "b49d5f60df2ff8af7c250a8fecf202dbaae0ef4787bca50433f67084f8ba95f1",
+        "714828fbe2ad4400a2f6601d428f239a88038bf31d0f19c52116a09b6581e4a2",
+        "ee147c795af218d231343873cdeb7bb74b02a813460ef905cd1386c90a9c8d98",
+    ),
+    ("f2_sixhex_mixed", "fractional_0.5"): (
+        "58cc4b841bf4a3bde2033070e8d3c6c0541e6949f7adeb578e5dd4b06f306813",
+        "e111f69ec4f5b0aeef789eb196e868c0aef4e9d02887af98019e281473f60c86",
+        "df813c9c3f179ce9ad6c998b26aa05878abfacf96e0a863477aa28e9afa69c60",
+    ),
+    ("f2_sixhex_mixed", "fractional_2"): (
+        "43a08b97b1e663aa53bbd47d9cadbac9f0ec180fe33bbd5b3e35705fcb16a578",
+        "fdfcbf12d021a71ff56543856e48923fabc04eaee4a1206030e6aeb8938d04df",
+        "a43759b2d3b0a87f3e30764f58910e8cfb338391403d8d61266e835941047fea",
+    ),
+    ("f2_sixhex_mixed", "solve"): (
+        "c3a6e6d61ce7ca0e3cc451f3bacc024b9bb8fc2ff3fe0e5c7909b7a6d0a0cdc7",
+        "1875e0a700d814243d91019a2606de4d17c0e0834854824036f15d881a189988",
+        "c7f1788aeea2a8b7c4793f77a18bf0950dc037648c7fa37a11ab5364f19f5618",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, run", sorted(RUN_SHA256))
+def test_run_output_digests(name, run, tmp_path, capsys):
+    path = str(FIXTURES / f"{name}.json")
+    s = load_surface(path)
+    base = default_base_point(s)
+    K = curvature(s, ConformalFactor(base.alpha * 1.075)).K
+    factor, target = tmp_path / "base.json", tmp_path / "target.json"
+    save_factor(base, factor)
+    target.write_text(json.dumps({"K": [float(k) for k in K]}))
+    log, out = tmp_path / "log.csv", tmp_path / "out.json"
+    command, *options = RUN_OPTIONS[run]
+    log_option = "--log" if command == "solve" else "--trace"
+    argv = [command, path, str(factor), str(target), *options, log_option, str(log), "--out", str(out)]
+    assert main(argv) == 0
+    outputs = (log.read_bytes(), out.read_bytes(), capsys.readouterr().out.encode())
+    assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == RUN_SHA256[name, run]

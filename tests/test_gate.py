@@ -1,5 +1,6 @@
 """The admissibility gate `factor_margin`, the length check every surface
-evaluation shares through it, and the names the benchmark tracer wraps."""
+evaluation shares through it, the names the benchmark tracer wraps, and
+guards that survive `python -O`."""
 
 import ast
 import importlib
@@ -23,7 +24,9 @@ from hexflow import (
 from hexflow.conformal import curvature_dump
 from conftest import PROFILES, load, reference_factor
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "benchmarks" / "tracing.py"
+SOURCES = sorted((ROOT / "src" / "hexflow").glob("*.py"))
 
 
 @pytest.mark.parametrize("fixture", ["f1", "f2"])
@@ -92,3 +95,21 @@ def test_benchmark_tracer_targets_exist(module, function, kind):
     # the benchmark wraps these names by identity; a rename would silently
     # drop its span
     assert callable(getattr(importlib.import_module(f"hexflow.{module}"), function, None))
+
+
+def test_sources_found():
+    assert len(SOURCES) > 5
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_guards(path):
+    # python -O strips assert statements, so every guard must raise
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"assert statements at lines {lines}"
+
+
+def test_solve_evaluates_through_curvature_only():
+    # flows and Newton take J from their one curvature call per point
+    solve = importlib.import_module("hexflow.solve")
+    assert not hasattr(solve, "global_jacobian")

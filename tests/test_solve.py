@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from hexflow import (
     spd_power,
     velocity,
 )
+import hexflow.conformal
 import hexflow.solve
 from hexflow.solve import CONVERGED, MAX_ITERS, MAX_STEPS, STALLED_STEP, _guarded_step
 from hexflow.tolerances import STEP_FLOOR, STEP_MARGIN
@@ -38,6 +42,16 @@ def round_trip_problem(s, spread=0.02):
     delta = spread * np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
     a0 = ConformalFactor(abar.alpha + delta)
     return abar, Kbar, a0
+
+
+def stub_jacobians(monkeypatch, jacobians):
+    """Make solve's curvature calls (the start, then every trial) return
+    the next of jacobians in place of the Jacobian."""
+
+    def stubbed(s, a, jacobian=False):
+        return dataclasses.replace(curvature(s, a, jacobian), jacobian=next(jacobians))
+
+    monkeypatch.setattr(hexflow.solve, "curvature", stubbed)
 
 
 @pytest.fixture(scope="module")
@@ -299,11 +313,7 @@ class TestRunFlow:
 
     def test_jacobian_not_pd_status(self, pants, monkeypatch):
         _, Kbar, a0 = round_trip_problem(pants)
-
-        def indefinite(*args, **kwargs):
-            return np.diag([1.0, 1.0, -1.0])
-
-        monkeypatch.setattr(hexflow.solve, "global_jacobian", lambda s, a: indefinite())
+        stub_jacobians(monkeypatch, itertools.repeat(np.diag([1.0, 1.0, -1.0])))
         _, trace = run_flow(pants, a0, Kbar, FlowConfig(method="calabi"))
         assert trace.status == "JacobianNotPD"
 
@@ -311,8 +321,8 @@ class TestRunFlow:
         # J^s (K - Kbar) is finite at a0 and overflows from the second step
         # on: the run ends as StalledStep and keeps its first step.
         _, Kbar, a0 = round_trip_problem(pants)
-        jacobians = iter([np.eye(3), np.diag([1.0, 1.0, 1e200])])
-        monkeypatch.setattr(hexflow.solve, "global_jacobian", lambda s, a: next(jacobians))
+        jacobians = itertools.chain([np.eye(3)], itertools.repeat(np.diag([1.0, 1.0, 1e200])))
+        stub_jacobians(monkeypatch, jacobians)
         _, trace = run_flow(pants, a0, Kbar, FlowConfig(method="fractional", s=2.0))
         assert trace.status == STALLED_STEP
         assert len(trace.rows) == 2
@@ -402,7 +412,7 @@ class TestNewton:
             def dense(self):
                 return np.diag([1.0, 1.0, -1.0])
 
-        monkeypatch.setattr(hexflow.solve, "global_jacobian", lambda s, a: FakeJac())
+        stub_jacobians(monkeypatch, itertools.repeat(FakeJac()))
         with pytest.raises(JacobianNotPD):
             solve_prescribed(pants, a0, Kbar, NewtonConfig(max_iters=5))
 
@@ -412,3 +422,49 @@ class TestNewton:
         text = log.to_csv()
         assert text.startswith("iter,resid_inf,step_len,potential,min_margin")
         assert text.rstrip().endswith("# status=Converged")
+
+
+class TestOneEvaluationPerPoint:
+    """Every point a flow or Newton visits runs the kernel once: the kernel
+    calls equal solve's curvature calls, plus, for Newton, the quadrature
+    integrand calls of its initial potential and Armijo tests."""
+
+    @staticmethod
+    def count(monkeypatch) -> Counter:
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        line_integral = hexflow.conformal.line_integral
+        monkeypatch.setattr(hexflow.conformal, "face_kernel",
+                            counting("kernel", hexflow.conformal.face_kernel))
+        monkeypatch.setattr(hexflow.solve, "curvature", counting("curvature", curvature))
+        monkeypatch.setattr(hexflow.conformal, "line_integral",
+                            lambda f, *args, **kwargs: line_integral(
+                                counting("integrand", f), *args, **kwargs))
+        return calls
+
+    @pytest.mark.parametrize("cfg", [FlowConfig(method="calabi"),
+                                     FlowConfig(method="fractional", s=0.5)],
+                             ids=["calabi", "fractional"])
+    def test_flow(self, sixhex_mixed, cfg, monkeypatch):
+        _, Kbar, a0 = round_trip_problem(sixhex_mixed)
+        calls = self.count(monkeypatch)
+        _, trace = run_flow(sixhex_mixed, a0, Kbar, cfg)  # the trace is not read
+        assert trace.status == CONVERGED
+        assert calls["curvature"] > trace.last("step") > 1
+        assert calls["integrand"] == 0
+        assert calls["kernel"] == calls["curvature"]
+
+    def test_newton(self, sixhex_mixed, monkeypatch):
+        _, Kbar, a0 = round_trip_problem(sixhex_mixed, spread=0.05)
+        calls = self.count(monkeypatch)
+        _, log = solve_prescribed(sixhex_mixed, a0, Kbar)
+        assert log.status == CONVERGED
+        assert calls["curvature"] == len(log.rows) > 2
+        assert calls["kernel"] == calls["curvature"] + calls["integrand"]

@@ -270,6 +270,10 @@ LOADER_FAULTS = [
      ParseError, 'edge 4: eta must be a number'),
     ('eta_list', True, [(('edges', 4, 'eta'), [1.1])],
      ParseError, 'edge 4: eta must be a number'),
+    ('eta_huge_int', True, [(('edges', 4, 'eta'), 10**400)],
+     ParseError, 'edge 4: eta is an integer beyond the float range'),
+    ('eta_huge_negative_int', True, [(('edges', 4, 'eta'), -10**400)],
+     ParseError, 'edge 4: eta is an integer beyond the float range'),
     ('face_not_object', True, [(('faces', 3), 3)],
      ParseError, 'face records must be objects'),
     ('face_missing_id', True, [(('faces', 3, 'id'), DELETE)],
@@ -360,6 +364,15 @@ LOADER_FAULTS = [
         (('faces', 2, 'edges'), [1, 8, 77]),
         (('faces', 5, 'id'), 0),
     ], ValidationError, 'face 2: edge 8 at slot 1 joins [0, 1], expected [0, 2]'),
+    ('multi_huge_eta_earliest_wins', True, [
+        (('edges', 6, 'eta'), 'x'),
+        (('edges', 5, 'ends'), [0, 7]),
+        (('edges', 2, 'eta'), -10**400),
+    ], ParseError, 'edge 2: eta is an integer beyond the float range'),
+    ('multi_huge_eta_before_validation', True, [
+        (('edges', 1, 'eta'), -2.0),
+        (('edges', 7, 'eta'), 10**400),
+    ], ParseError, 'edge 7: eta is an integer beyond the float range'),
     ('multi_edge_before_face', True, [
         (('faces', 0, 'corners'), [0, 1, 9]),
         (('edges', 8, 'eta'), -1.0),
