@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -44,7 +43,7 @@ from .hexagon import (
     face_metric,
     length_jacobian_fd,
 )
-from .jsonio import dump, dumps
+from .jsonio import dump, dumps, load
 from .solve import (
     CONVERGED,
     JACOBIAN_NOT_PD,
@@ -80,11 +79,7 @@ def _write_json(data: dict, path: str | None) -> None:
 
 
 def _load_target(path, n: int) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read target file {path}: {exc}") from exc
+    data = load(path, "target")
     if not isinstance(data, dict) or "K" not in data:
         raise ParseError(f"target file {path} must be an object with key 'K'")
     try:

@@ -18,7 +18,6 @@ all of them in a few kernel calls.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,7 +28,7 @@ import scipy.sparse.linalg
 
 from .errors import DomainError, LengthMismatch, NotAdmissible, ParseError
 from .hexagon import CornerAlpha, FaceEta, central_difference, face_jacobian_chain
-from .jsonio import dump
+from .jsonio import dump, load
 from .kernel import FaceValues, edge_margins, face_arcs, face_kernel
 from .quadrature import line_integral
 from .tolerances import ADMISSIBILITY_EPS, BATCH_FACE_EVALS, SAMPLE_MAX_TRIES
@@ -79,11 +78,7 @@ class ConformalFactor:
 
 def load_factor(path, n: int | None = None) -> ConformalFactor:
     """Read a factor file holding exactly one of the keys "alpha" or "u"."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read factor file {path}: {exc}") from exc
+    data = load(path, "factor")
     if not isinstance(data, dict) or len(data.keys() & {"alpha", "u"}) != 1:
         raise ParseError(
             f"factor file {path} must hold exactly one of the keys 'alpha' or 'u'"

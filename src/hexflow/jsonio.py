@@ -1,4 +1,7 @@
-"""The one JSON writer of the package.
+"""The JSON reader and the one JSON writer of the package.
+
+`load(path, kind)` reads a JSON document and raises ParseError naming the
+file when it cannot be read or decoded.
 
 `dumps(obj)` returns exactly the text of `json.dumps(obj, indent=1)`, and
 `dump(obj, path)` writes it with a final newline; dict keys must be
@@ -11,8 +14,20 @@ curvature dump.  Non-finite floats are written as `NaN`, `Infinity` and
 
 from __future__ import annotations
 
+import json
 import math
 from json.encoder import encode_basestring_ascii as _string
+
+from .errors import ParseError
+
+
+def load(path, kind: str):
+    """The JSON document in the `kind` file at path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
 def dumps(obj) -> str:

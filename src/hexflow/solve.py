@@ -83,8 +83,10 @@ class FlowConfig:
     def __post_init__(self):
         if self.method not in FLOW_METHODS:
             raise DomainError(f"unknown flow method {self.method!r}")
-        if not self.tol > 0.0:
-            raise DomainError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError("tol must be positive and finite")
+        if not self.max_steps >= 0:
+            raise DomainError("max_steps must be non-negative")
         if not 0.0 < self.dt0 < math.inf:
             raise DomainError("dt0 must be positive and finite")
         if not math.isfinite(self.s):
@@ -375,8 +377,10 @@ class NewtonConfig:
     max_iters: int = 100
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise DomainError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError("tol must be positive and finite")
+        if not self.max_iters >= 0:
+            raise DomainError("max_iters must be non-negative")
 
 
 def solve_prescribed(

@@ -7,13 +7,17 @@ not by endpoint pair, so parallel edges and self-edges are representable and
 may carry distinct weights.
 
 A surface is held as index arrays (`SurfaceArrays`).  `load_surface` reads
-the JSON records straight into them, and one validator checks them, whether
-they come from a file or from `Edge`/`Face` tuples.
+the JSON records straight into them.  Files and `Edge`/`Face` tuples are
+checked alike, in two parts.  An array pass (`_compile`, after `_columns`
+for a file) decides: it builds the arrays of a valid surface and returns
+None when any rule fails.  Only then a plain record walk (`_parse_records`
+for a file, then `_validate`) explains: it raises for the first faulty
+record in file order, edges before faces, every ParseError of a file
+before any ValidationError.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
@@ -23,7 +27,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import EtaOutOfRange, ParseError, ValidationError
-from .jsonio import dump
+from .jsonio import dump, load
 
 logger = logging.getLogger(__name__)
 
@@ -133,11 +137,12 @@ class Surface:
 
     def __init__(self, n_boundary: int, edges, faces, strict_mode: bool = True):
         edges, faces = tuple(edges), tuple(faces)
-        arrays = _compile(
+        columns = (
             n_boundary, strict_mode,
             [e.id for e in edges], [e.ends for e in edges], [e.eta for e in edges],
             [f.id for f in faces], [f.corners for f in faces], [f.edges for f in faces],
         )
+        arrays = _compile(*columns) or _validate(*columns)  # the record walk raises
         self.__dict__.update(
             n_boundary=n_boundary, strict_mode=strict_mode, arrays=arrays, edges=edges, faces=faces
         )
@@ -225,75 +230,17 @@ class Surface:
         }
 
 
-class _Fault:
-    """The first faulty record of one kind.
-
-    Checks are made in the order a record is checked in, each over the
-    records before the earliest fault found so far, so the earliest faulty
-    record wins and, within it, its first failed check.
-    """
-
-    def __init__(self, n_records: int):
-        self.limit = n_records
-        self.error: Exception | None = None
-
-    def check(self, bad, message, error=ValidationError) -> None:
-        """bad flags faults by record along its first axis (a bool array or
-        list that may run past `limit`, or None for none); message(i)
-        describes the fault of record i."""
-        if bad is None:
-            return
-        bad = np.asarray(bad[: self.limit], dtype=bool)
-        if not bad.size:
-            return
-        # the first flag in row-major order belongs to the first record
-        k = int(bad.argmax())
-        if bad.flat[k]:
-            self.limit = k // (bad.size // len(bad))
-            self.error = error(message(self.limit))
-
-    def raise_first(self) -> None:
-        if self.error is not None:
-            raise self.error
-
-
 # the corner slots the edge at slot t joins, and the ends of an unknown edge
 _OTHER_SLOTS = np.array([[1, 2], [2, 0], [0, 1]])
 _NO_EDGE = np.array([[-1, -1]])
-
-
-def _repeats(ids: list):
-    """Flags the records whose id an earlier record has; None when the ids
-    are distinct."""
-    if len(set(ids)) == len(ids):
-        return None
-    seen: set = set()
-    flags = []
-    for i in ids:
-        flags.append(i in seen)
-        seen.add(i)
-    return flags
-
-
-def _outside(table: np.ndarray, n: int) -> np.ndarray:
-    """Flags the entries of table outside [0, n)."""
-    return (table < 0) | (table >= n)
-
-
-def _first_outside(row: np.ndarray, n: int):
-    return next(b for b in row.tolist() if not 0 <= b < n)
-
-
-def _repeated_in_row(t: np.ndarray) -> np.ndarray:
-    a, b, c = t.T
-    return (a == b) | (a == c) | (b == c)
+# the types an end, corner or slot edge id may have (bools are integers)
+_INTEGER = (int, np.integer, np.bool_)
 
 
 def _table(rows, width: int) -> np.ndarray | None:
-    """rows as an (N, width) integer array (dtype object for entries that
-    are not machine integers), or None when some row is not `width` long."""
-    if isinstance(rows, np.ndarray):
-        return rows
+    """rows as an (N, width) integer array (dtype object for integers that
+    are not machine integers), or None when some row is not `width` long
+    or some entry is not an integer."""
     if not len(rows):
         return np.empty((0, width), np.intp)
     try:
@@ -302,60 +249,36 @@ def _table(rows, width: int) -> np.ndarray | None:
         return None
     if arr.shape != (len(rows), width):
         return None
-    if arr.dtype.kind == "b":
-        return arr.astype(np.intp)
-    return arr if arr.dtype.kind in "iu" else np.array(rows, dtype=object)
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.intp) if arr.dtype.kind == "b" else arr
+    arr = np.array(rows, dtype=object)
+    return arr if all(isinstance(v, _INTEGER) for v in arr.flat) else None
 
 
-def _shaped(fault: _Fault, rows, width: int, message) -> np.ndarray:
-    table = _table(rows, width)
-    if table is None:
-        fault.check([len(row) != width for row in rows], message)
-        table = _table(rows[: fault.limit], width)
-    return table
+def _repeated_in_row(t: np.ndarray) -> np.ndarray:
+    a, b, c = t.T
+    return (a == b) | (a == c) | (b == c)
 
 
-def _compile(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> SurfaceArrays:
-    """The one validator: checks the columns of a surface (edge ids, ends
-    and weights; face ids, corners and slot edge ids) and returns its
-    arrays.  Raises ValidationError (EtaOutOfRange for a weight at or below
-    -1) for the first faulty edge, else for the first faulty face, and
-    warns about edges no face references."""
+def _compile(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> SurfaceArrays | None:
+    """The array pass over the columns of a surface (edge ids, ends and
+    weights; face ids, corners and slot edge ids): its arrays, or None
+    when a rule fails.  Warns about edges no face references."""
     if not isinstance(n, int) or n <= 0:
-        raise ValidationError(f"n_boundary must be a positive integer, got {n!r}")
-
-    fault = _Fault(len(edge_ids))
-    fault.check(_repeats(edge_ids), lambda i: f"duplicate edge id {edge_ids[i]}")
-    ends = _shaped(fault, ends, 2, lambda i: f"edge {edge_ids[i]}: ends must be a pair")
-    fault.check(_outside(ends, n), lambda i: (
-        f"edge {edge_ids[i]}: endpoint {_first_outside(ends[i], n)} outside [0, {n})"
-    ))
+        return None
     etas = np.asarray(etas, dtype=float)
-    fault.check(~(etas > ETA_LOWER_BOUND), lambda i: (  # NaN included
-        f"edge {edge_ids[i]}: eta = {float(etas[i])!r} is not > {ETA_LOWER_BOUND}"
-    ), EtaOutOfRange)
-    fault.raise_first()
-    ends = ends.astype(np.intp, copy=False)
-
-    fault = _Fault(len(face_ids))
-    fault.check(_repeats(face_ids), lambda i: f"duplicate face id {face_ids[i]}")
-    triples = lambda i: f"face {face_ids[i]}: corners and edges must be triples"  # noqa: E731
-    corners = _shaped(fault, corners, 3, triples)
-    face_edges = _shaped(fault, face_edges, 3, triples)
-    corners, face_edges = corners[: fault.limit], face_edges[: fault.limit]
-    fault.check(_outside(corners, n), lambda i: (
-        f"face {face_ids[i]}: corner {_first_outside(corners[i], n)} outside [0, {n})"
-    ))
-    fault.check(_repeated_in_row(face_edges), lambda i: (
-        f"face {face_ids[i]}: edge ids must be distinct"
-    ))
-    if strict:
-        fault.check(_repeated_in_row(corners), lambda i: (
-            f"face {face_ids[i]}: repeated corner in strict mode, "
-            f"corners={tuple(corners[i].tolist())}"
-        ))
-    corners = corners[: fault.limit].astype(np.intp, copy=False)
-    face_edges = face_edges[: fault.limit]
+    if len(set(edge_ids)) < len(edge_ids) or len(set(face_ids)) < len(face_ids):
+        return None
+    ends, corners, face_edges = _table(ends, 2), _table(corners, 3), _table(face_edges, 3)
+    if ends is None or corners is None or face_edges is None:
+        return None
+    if (
+        ((ends < 0) | (ends >= n)).any() or not (etas > ETA_LOWER_BOUND).all()  # NaN included
+        or ((corners < 0) | (corners >= n)).any() or _repeated_in_row(face_edges).any()
+        or (strict and _repeated_in_row(corners).any())
+    ):
+        return None
+    ends, corners = ends.astype(np.intp, copy=False), corners.astype(np.intp, copy=False)
     # slot_edges[f, t]: position in edge order of the edge at slot t of
     # face f, -1 if no edge has its id
     position = dict(zip(edge_ids, range(len(edge_ids))))
@@ -365,21 +288,8 @@ def _compile(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> 
     # the edge at slot t must join the corners at the other two slots, as
     # sorted pairs; an unknown edge joins (-1, -1), which matches no pair
     got = np.concatenate([np.sort(ends, axis=1), _NO_EDGE])[slot_edges]
-    want = np.sort(corners[:, _OTHER_SLOTS], axis=2)
-    bad_slot = got != want
-
-    def slot_fault(i):
-        t = int(bad_slot[i].any(axis=1).argmax())
-        eid = face_edges[i].tolist()[t]
-        if slot_edges[i, t] < 0:
-            return f"face {face_ids[i]}: unknown edge id {eid}"
-        return (
-            f"face {face_ids[i]}: edge {eid} at slot {t} joins {got[i, t].tolist()}, "
-            f"expected {want[i, t].tolist()}"
-        )
-
-    fault.check(bad_slot, slot_fault)
-    fault.raise_first()
+    if (got != np.sort(corners[:, _OTHER_SLOTS], axis=2)).any():
+        return None
 
     referenced = np.zeros(len(edge_ids), dtype=bool)
     referenced[slot_edges.ravel()] = True
@@ -388,15 +298,65 @@ def _compile(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> 
         logger.warning("edges not referenced by any face: %s", unreferenced)
 
     return SurfaceArrays(
-        n=n,
-        face_ids=tuple(face_ids),
-        corners=corners,
-        etas=etas[slot_edges[:, ::-1]],
-        edge_ids=tuple(edge_ids),
-        ends=ends,
-        edge_etas=etas,
-        slot_edges=slot_edges,
+        n=n, face_ids=tuple(face_ids), corners=corners, etas=etas[slot_edges[:, ::-1]],
+        edge_ids=tuple(edge_ids), ends=ends, edge_etas=etas, slot_edges=slot_edges,
     )
+
+
+def _rows(rows, width: int) -> list:
+    """rows as lists, each entry as the table (see _table) of the rows
+    before the first one not `width` long holds it, so that a message shows
+    what the array pass compared (an int for a bool in an integer table)."""
+    k = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+    table = _table(rows[:k], width)
+    return [*(rows[:k] if table is None else table.tolist()), *rows[k:]]
+
+
+def _check_entries(record: str, what: str, row, n=None) -> None:
+    """Raises unless every entry of row is an integer, in [0, n) if given."""
+    for v in row:
+        if not isinstance(v, _INTEGER):
+            raise ValidationError(f"{record}: {what} {v!r} is not an integer")
+        if n is not None and not 0 <= v < n:
+            raise ValidationError(f"{record}: {what} {v} outside [0, {n})")
+
+
+def _validate(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> None:
+    """The record walk over columns that _compile rejects: raises
+    ValidationError (EtaOutOfRange for a weight at or below -1) for n, else
+    for the first faulty edge, else for the first faulty face."""
+    if not isinstance(n, int) or n <= 0:
+        raise ValidationError(f"n_boundary must be a positive integer, got {n!r}")
+    ends_by_id = {}
+    for eid, pair, eta in zip(edge_ids, _rows(ends, 2), np.asarray(etas, dtype=float).tolist()):
+        if eid in ends_by_id:
+            raise ValidationError(f"duplicate edge id {eid}")
+        if len(pair) != 2:
+            raise ValidationError(f"edge {eid}: ends must be a pair")
+        _check_entries(f"edge {eid}", "endpoint", pair, n)
+        if not eta > ETA_LOWER_BOUND:
+            raise EtaOutOfRange(f"edge {eid}: eta = {eta!r} is not > {ETA_LOWER_BOUND}")
+        ends_by_id[eid] = sorted(map(int, pair))
+
+    seen = set()
+    for fid, cs, es in zip(face_ids, _rows(corners, 3), _rows(face_edges, 3)):
+        if fid in seen:
+            raise ValidationError(f"duplicate face id {fid}")
+        seen.add(fid)
+        if len(cs) != 3 or len(es) != 3:
+            raise ValidationError(f"face {fid}: corners and edges must be triples")
+        _check_entries(f"face {fid}", "corner", cs, n)
+        _check_entries(f"face {fid}", "edge id", es)
+        if len(set(es)) != 3:
+            raise ValidationError(f"face {fid}: edge ids must be distinct")
+        if strict and len(set(cs)) != 3:
+            raise ValidationError(f"face {fid}: repeated corner in strict mode, corners={tuple(cs)}")
+        for t, eid in enumerate(es):
+            if eid not in ends_by_id:
+                raise ValidationError(f"face {fid}: unknown edge id {eid}")
+            got, want = ends_by_id[eid], sorted(map(int, (cs[t - 2], cs[t - 1])))
+            if got != want:
+                raise ValidationError(f"face {fid}: edge {eid} at slot {t} joins {got}, expected {want}")
 
 
 # gamma_t = e[summand] + e[factor 0] * e[factor 1] over the columns
@@ -432,43 +392,6 @@ def _require(cond: bool, msg: str) -> None:
         raise ParseError(msg)
 
 
-def _parse_records(recs: list, kind: str, keys: tuple[str, str, str]) -> tuple[_Fault, list]:
-    """The fault tracker and the three columns of the edge or face records
-    recs, after checking that each is an object with the keys and an
-    integer id."""
-    fault = _Fault(len(recs))
-    if set(map(type, recs)) - {dict}:
-        fault.check([not isinstance(r, dict) for r in recs],
-                    lambda i: f"{kind} records must be objects", ParseError)
-    try:
-        cols = [list(map(itemgetter(key), recs[: fault.limit])) for key in keys]
-    except KeyError:
-        for key in keys:
-            fault.check([key not in r for r in recs[: fault.limit]],
-                        lambda i: f"{kind} record missing {key!r}", ParseError)
-        cols = [list(map(itemgetter(key), recs[: fault.limit])) for key in keys]
-    ids = cols[0]
-    if set(map(type, ids)) - {int, bool}:
-        fault.check([not isinstance(v, int) for v in ids],
-                    lambda i: f"{kind} id must be an integer", ParseError)
-    return fault, cols
-
-
-def _parse_table(fault: _Fault, kind: str, ids: list, key: str, rows: list, width: int):
-    """rows as a table (see _table), after checking that each of the
-    first `fault.limit` is a list of `width` integers."""
-    rows = rows[: fault.limit]
-    table = _table(rows, width)
-    if table is None or table.dtype == object:
-        what = "a pair" if width == 2 else "a triple"
-        fault.check(
-            [not (isinstance(v, list) and len(v) == width and all(isinstance(b, int) for b in v))
-             for v in rows],
-            lambda i: f"{kind} {ids[i]}: {key} must be {what} of integers", ParseError,
-        )
-    return table
-
-
 def _eta_fault(v) -> str | None:
     """What is wrong with the JSON weight v, or None for a number that
     converts to a float."""
@@ -481,6 +404,48 @@ def _eta_fault(v) -> str | None:
     return None
 
 
+def _columns(edges: list, faces: list) -> list | None:
+    """The edge and face records of a file as columns (see _compile), or
+    None when a record is not an object with the keys, an id is not an
+    integer or a weight not a number."""
+    try:
+        columns = [list(map(itemgetter(key), edges)) for key in ("id", "ends", "eta")]
+        columns += [list(map(itemgetter(key), faces)) for key in ("id", "corners", "edges")]
+    except (TypeError, KeyError):  # a record that is not an object, or misses a key
+        return None
+    edge_ids, _, etas, face_ids, _, _ = columns
+    if set(map(type, edge_ids + face_ids)) - {int, bool}:
+        return None
+    if set(map(type, etas)) - {float} and any(map(_eta_fault, etas)):
+        return None
+    return columns
+
+
+def _integers(v, width: int) -> bool:
+    return isinstance(v, list) and _table([v], width) is not None
+
+
+def _parse_records(edges: list, faces: list) -> None:
+    """The record walk over the records of a file that the array pass
+    rejects: raises ParseError for the first edge, else face, that breaks
+    the file format."""
+    for rec in edges:
+        _require(isinstance(rec, dict), "edge records must be objects")
+        for key in ("id", "ends", "eta"):
+            _require(key in rec, f"edge record missing {key!r}")
+        _require(isinstance(rec["id"], int), "edge id must be an integer")
+        _require(_integers(rec["ends"], 2), f"edge {rec['id']}: ends must be a pair of integers")
+        fault = _eta_fault(rec["eta"])
+        _require(fault is None, f"edge {rec['id']}: eta {fault}")
+    for rec in faces:
+        _require(isinstance(rec, dict), "face records must be objects")
+        for key in ("id", "corners", "edges"):
+            _require(key in rec, f"face record missing {key!r}")
+        _require(isinstance(rec["id"], int), "face id must be an integer")
+        for key in ("corners", "edges"):
+            _require(_integers(rec[key], 3), f"face {rec['id']}: {key} must be a triple of integers")
+
+
 def _parse_surface_dict(data: dict, strict: bool) -> Surface:
     _require(isinstance(data, dict), "top level must be an object")
     for key in ("n_boundary", "edges", "faces"):
@@ -489,24 +454,11 @@ def _parse_surface_dict(data: dict, strict: bool) -> Surface:
     _require(isinstance(data["edges"], list), "edges must be a list")
     _require(isinstance(data["faces"], list), "faces must be a list")
 
-    fault, (edge_ids, ends, etas) = _parse_records(data["edges"], "edge", ("id", "ends", "eta"))
-    ends = _parse_table(fault, "edge", edge_ids, "ends", ends, 2)
-    etas = etas[: fault.limit]
-    if set(map(type, etas)) - {float}:
-        faults = list(map(_eta_fault, etas))
-        fault.check([f is not None for f in faults],
-                    lambda i: f"edge {edge_ids[i]}: eta {faults[i]}", ParseError)
-    fault.raise_first()
-
-    fault, (face_ids, corners, face_edges) = _parse_records(
-        data["faces"], "face", ("id", "corners", "edges")
-    )
-    corners = _parse_table(fault, "face", face_ids, "corners", corners, 3)
-    face_edges = _parse_table(fault, "face", face_ids, "edges", face_edges, 3)
-    fault.raise_first()
-
-    n = data["n_boundary"]
-    arrays = _compile(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges)
+    n, edges, faces = data["n_boundary"], data["edges"], data["faces"]
+    columns = _columns(edges, faces)
+    arrays = columns and _compile(n, strict, *columns)
+    # where the array pass rejects, the record walk raises
+    arrays = arrays or _parse_records(edges, faces) or _validate(n, strict, *columns)
     return Surface._of_arrays(n, strict, arrays)
 
 
@@ -516,14 +468,14 @@ def load_surface(path, strict: bool = True) -> Surface:
 
     Raises ParseError for malformed files, ValidationError for violated
     combinatorial invariants (EtaOutOfRange for weights at or below -1),
-    each for the first faulty record in file order (edges before faces).
+    each for the first faulty record in file order (edges before faces)
+    and with a message that names the file.
     """
+    data = load(path, "surface")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read surface file {path}: {exc}") from exc
-    return _parse_surface_dict(data, strict)
+        return _parse_surface_dict(data, strict)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"surface file {path}: {exc}") from None
 
 
 def save_surface(s: Surface, path) -> None:

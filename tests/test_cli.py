@@ -183,12 +183,19 @@ class TestFlow:
         fpath, tpath = self.setup_problem(factor_file, target_file)
         assert main(["flow", pants_path, fpath, tpath, "--max-steps", "1"]) == 4
 
-    @pytest.mark.parametrize(
-        "option", [["--dt0", "inf"], ["--method", "fractional", "--s", "nan"]], ids=["dt0-inf", "s-nan"]
-    )
-    def test_non_finite_step_settings_exit_2(self, pants_path, factor_file, target_file, option):
+    @pytest.mark.parametrize("command,option", [
+        pytest.param("flow", ["--dt0", "inf"], id="dt0-inf"),
+        pytest.param("flow", ["--method", "fractional", "--s", "nan"], id="s-nan"),
+        pytest.param("flow", ["--tol", "inf"], id="tol-inf"),
+        pytest.param("flow", ["--max-steps", "-5"], id="max-steps-negative"),
+        pytest.param("solve", ["--tol", "inf"], id="solve-tol-inf"),
+        pytest.param("solve", ["--max-iters", "-1"], id="solve-max-iters-negative"),
+    ])
+    def test_non_finite_step_settings_exit_2(
+        self, pants_path, factor_file, target_file, command, option
+    ):
         fpath, tpath = self.setup_problem(factor_file, target_file)
-        assert main(["flow", pants_path, fpath, tpath, *option]) == 2
+        assert main([command, pants_path, fpath, tpath, *option]) == 2
 
     def test_huge_fractional_order_exits_2(self, pants_path, factor_file, target_file):
         fpath, tpath = self.setup_problem(factor_file, target_file)
@@ -253,6 +260,18 @@ def test_malformed_target_exits_2(pants_path, factor_file, tmp_path, command, K)
     assert main([command, pants_path, factor_file([math.pi / 6] * 3), str(tpath)]) == 2
 
 
+@pytest.mark.parametrize("text", [b'{"K": [1.0\xff]}', b"[" * 100_000], ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("kind", ["surface", "factor", "target"])
+def test_unreadable_file_exits_2(pants_path, factor_file, target_file, tmp_path, capsys, kind, text):
+    paths = {
+        "surface": pants_path, "factor": factor_file([math.pi / 6] * 3), "target": target_file([1.0] * 3)
+    }
+    paths[kind] = tmp_path / "unreadable.json"
+    paths[kind].write_bytes(text)
+    assert main(["solve", *map(str, paths.values())]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {kind} file {paths[kind]}: ")
+
+
 HUGE_INT = "1" + "0" * 400  # valid JSON, beyond the float range
 
 
@@ -268,7 +287,9 @@ class TestHugeIntegers:
         path = tmp_path / "surface.json"
         path.write_text(json.dumps(data).replace("12345", sign + HUGE_INT))
         assert main(["validate", str(path)]) == 2
-        assert capsys.readouterr().err == "error: edge 1: eta is an integer beyond the float range\n"
+        assert capsys.readouterr().err == (
+            f"error: surface file {path}: edge 1: eta is an integer beyond the float range\n"
+        )
 
     @pytest.mark.parametrize("key", ["alpha", "u"])
     def test_factor(self, pants_path, tmp_path, capsys, sign, key):

@@ -231,10 +231,19 @@ class TestGuardedStep:
 
 
 class TestRunFlow:
-    @pytest.mark.parametrize("field,value", [("dt0", math.inf), ("s", math.nan)])
-    def test_config_rejects_non_finite(self, field, value):
+    @pytest.mark.parametrize("config,settings", [
+        pytest.param(FlowConfig, {"method": "fractional", "dt0": math.inf}, id="dt0-inf"),
+        pytest.param(FlowConfig, {"method": "fractional", "s": math.nan}, id="s-nan"),
+        pytest.param(FlowConfig, {"tol": math.inf}, id="tol-inf"),
+        pytest.param(FlowConfig, {"tol": math.nan}, id="tol-nan"),
+        pytest.param(FlowConfig, {"max_steps": -5}, id="max_steps-negative"),
+        pytest.param(NewtonConfig, {"tol": math.inf}, id="newton-tol-inf"),
+        pytest.param(NewtonConfig, {"tol": 0.0}, id="newton-tol-zero"),
+        pytest.param(NewtonConfig, {"max_iters": -1}, id="newton-max_iters-negative"),
+    ])
+    def test_config_rejects_non_finite(self, config, settings):
         with pytest.raises(DomainError):
-            FlowConfig(method="fractional", **{field: value})
+            config(**settings)
 
     def test_start_at_equilibrium(self, pants):
         abar = reference_factor(pants)

@@ -406,7 +406,7 @@ def test_loader_error_contract(tmp_path, strict, changes, error, message):
     with pytest.raises(HexflowError) as info:
         load_surface(path, strict=strict)
     assert type(info.value) is error
-    assert str(info.value) == message
+    assert str(info.value) == f"surface file {path}: {message}"
 
 
 def test_unreferenced_edge_warning_text(tmp_path, caplog):
@@ -474,6 +474,18 @@ def test_tuple_constructor_checks_shapes():
         Surface(3, edges, faces + [Face(0, (0, 1, 2), (0, 1))])
     with pytest.raises(ValidationError, match="^n_boundary must be a positive integer, got 3.0$"):
         Surface(3.0, edges, faces)
+    # a non-integer index is rejected, not truncated; bools are integers
+    with pytest.raises(ValidationError, match=r"^edge 1: endpoint 2\.9 is not an integer$"):
+        Surface(3, [*edges[:1], Edge(1, (0, 2.9), 0.0), edges[2]], faces)
+    with pytest.raises(ValidationError, match=r"^face 1: corner 1\.7 is not an integer$"):
+        Surface(3, edges, faces + [Face(1, (0, 1.7, 2), (0, 1, 2))])
+    with pytest.raises(ValidationError, match=r"^face 1: edge id 1\.0 is not an integer$"):
+        Surface(3, edges, faces + [Face(1, (0, 1, 2), (0, 1.0, 2))])
+    with pytest.raises(ValidationError, match="^face 1: edge id '2' is not an integer$"):
+        Surface(3, edges, faces + [Face(1, (0, 1, 2), (0, 1, "2"))])
+    s = Surface(3, [Edge(0, (True, 2), 0.0), *edges[1:]], faces + [Face(1, (False, 1, 2), (0, True, 2))])
+    assert s.arrays.corners.tolist() == [[0, 1, 2], [0, 1, 2]]
+    assert s.arrays.slot_edges.tolist() == [[0, 1, 2], [0, 1, 2]]
 
 
 def test_loaded_surface_builds_no_tuples(tmp_path):
