@@ -12,7 +12,6 @@ from .errors import (
     LengthMismatch,
     NotAdmissible,
     NotAttained,
-    NotSPD,
     ParseError,
     QuadratureWarning,
     ValidationError,
@@ -74,7 +73,6 @@ from .solve import (
     run_flow,
     solve_prescribed,
     solve_prescribed_multistart,
-    spd_power,
     velocity,
 )
 from .volume import PyramidChart, relative_volume, volume_gradient, volume_grid, volume_hessian

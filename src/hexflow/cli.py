@@ -87,7 +87,7 @@ def _load_target(path, n: int) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"target file {path}: {exc}") from exc
     if K.shape != (n,):
-        raise ParseError(f"target has {K.size} components, surface has {n}")
+        raise ParseError(f"target file {path} has {K.size} components, surface has {n}")
     return K
 
 

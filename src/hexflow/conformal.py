@@ -90,6 +90,8 @@ def load_factor(path, n: int | None = None) -> ConformalFactor:
             factor = ConformalFactor.from_u(np.asarray(data["u"], dtype=float))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"factor file {path}: {exc}") from exc
+    except DomainError as exc:
+        raise DomainError(f"factor file {path}: {exc}") from exc
     if n is not None and len(factor) != n:
         raise ParseError(
             f"factor file {path} has {len(factor)} components, surface has {n}"
@@ -387,8 +389,8 @@ def potential(
 
 def calabi_energy(K, Kbar) -> float:
     """Half the squared 2-norm of the curvature error."""
-    K = np.asarray(getattr(K, "K", K), dtype=float)
-    Kbar = np.asarray(getattr(Kbar, "K", Kbar), dtype=float)
+    K = np.asarray(K, dtype=float)
+    Kbar = np.asarray(Kbar, dtype=float)
     if K.shape != Kbar.shape:
         raise LengthMismatch(f"shape mismatch {K.shape} vs {Kbar.shape}")
     d = K - Kbar

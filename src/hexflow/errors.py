@@ -40,17 +40,13 @@ class LengthMismatch(HexflowError):
     """Two vectors that must share a length do not."""
 
 
-class NotSPD(HexflowError):
-    """A matrix expected to be symmetric positive definite is not."""
+class JacobianNotPD(HexflowError):
+    """The curvature Jacobian lost positive definiteness (possible only when
+    the structure condition fails); carries its minimum eigenvalue."""
 
     def __init__(self, message, *, min_eigenvalue=None):
         super().__init__(message)
         self.min_eigenvalue = min_eigenvalue
-
-
-class JacobianNotPD(NotSPD):
-    """The curvature Jacobian lost positive definiteness (possible only when
-    the structure condition fails)."""
 
 
 class NotAttained(HexflowError):

@@ -7,9 +7,12 @@ positive target Kbar:
     calabi      da/dt = -J (K - Kbar),        J = dK/da
     fractional  da/dt = -J^s (K - Kbar)
 
-with J^s from the symmetric eigendecomposition.  s = 0 and s = 1 reduce the
-fractional flow to the ricci and calabi flows exactly, and the reductions are
-implemented as exact dispatch so the traces agree bit for bit.
+Every step is one J^p r with r = K - Kbar: a flow's velocity is -J^p r with
+p = 0 (ricci), 1 (calabi) or s (fractional), and Newton's direction is
+-J^-1 r.  One routine, `_spd_apply`, computes J^p r and owns the positive
+definiteness test: a Cholesky factorisation for p = 1 and p = -1, the
+symmetric eigendecomposition for any other p.  s = 0 and s = 1 reach the
+ricci and calabi arms, so those traces agree bit for bit.
 
 Time stepping is explicit Euler with two per-step guards: the proposed point
 must stay inside the open angle box with every edge margin at least
@@ -49,7 +52,7 @@ from .conformal import (
     potential,
     _segment_curvature_integral,
 )
-from .errors import DomainError, JacobianNotPD, NotAttained, NotSPD
+from .errors import DomainError, JacobianNotPD, NotAttained
 from .tolerances import (
     ARMIJO,
     DT_CAP_FACTOR,
@@ -60,8 +63,6 @@ from .tolerances import (
     STEP_SHRINK,
 )
 from .triangulation import Surface, structure_condition_holds
-
-FLOW_METHODS = ("ricci", "calabi", "fractional")
 
 # Terminal statuses shared by flows and the Newton solver.
 CONVERGED = "Converged"
@@ -81,8 +82,7 @@ class FlowConfig:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        if self.method not in FLOW_METHODS:
-            raise DomainError(f"unknown flow method {self.method!r}")
+        _flow_power(self.method, self.s)  # raises for an unknown method
         if not 0.0 < self.tol < math.inf:
             raise DomainError("tol must be positive and finite")
         if not self.max_steps >= 0:
@@ -151,84 +151,61 @@ class RunLog:
             fh.write(self.to_csv())
 
 
-def spd_power(J, s: float) -> np.ndarray:
-    """Real power of a symmetric positive definite matrix via its
-    eigendecomposition; raises NotSPD on asymmetry or eigenvalues <= 0."""
-    A = _as_dense(J)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NotSPD("matrix must be square")
-    scale = max(1.0, float(np.abs(A).max()))
-    if float(np.abs(A - A.T).max()) > 1e-8 * scale:
-        raise NotSPD("matrix is not symmetric")
-    w, V = np.linalg.eigh(A)
-    if w[0] <= 0.0:
-        raise NotSPD(f"matrix not positive definite, min eigenvalue {w[0]:.3e}",
-                     min_eigenvalue=float(w[0]))
-    return (V * w**s) @ V.T
-
-
-def _as_dense(J) -> np.ndarray:
-    if hasattr(J, "dense"):
-        return J.dense()
-    return np.asarray(J, dtype=float)
+def _flow_power(method: str, s: float) -> float:
+    """The power p of J in a flow's velocity -J^p (K - Kbar)."""
+    try:
+        return {"ricci": 0.0, "calabi": 1.0, "fractional": s}[method]
+    except KeyError:
+        raise DomainError(f"unknown flow method {method!r}") from None
 
 
 def velocity(method: str, s: float, K, Kbar, J=None) -> np.ndarray:
-    """Right-hand side of the chosen flow at curvature K, target Kbar.
+    """Right-hand side -J^p (K - Kbar) of the chosen flow at curvature K,
+    target Kbar: p is 0 for ricci, 1 for calabi and s for fractional, and
+    `_spd_apply` computes J^p (K - Kbar), so s = 0 and s = 1 take the ricci
+    and calabi arithmetic exactly."""
+    r = np.asarray(K, dtype=float) - np.asarray(Kbar, dtype=float)
+    return -_spd_apply(J, r, _flow_power(method, s))
 
-    The fractional flow with s = 0 or s = 1 dispatches to the ricci or
-    calabi branch so the reduction identities hold exactly.  The calabi and
-    fractional branches require the Jacobian to be positive definite (the
-    calabi branch tests it by Cholesky, the fractional branch by its
-    eigendecomposition) and raise JacobianNotPD (reporting the minimum
-    eigenvalue) otherwise.  The fractional branch raises DomainError when
-    J^s (K - Kbar) is not finite: the order s is too large for the
-    eigenvalues of J.
+
+def _spd_apply(J, r: np.ndarray, p: float) -> np.ndarray:
+    """J^p r for the curvature Jacobian J (a GlobalJacobian or an array),
+    which must be positive definite unless p == 0.
+
+    p == 0 returns r and reads no J.  p == 1 and p == -1 test definiteness
+    by a Cholesky factorisation and return J r or the solve J^-1 r; any
+    other p uses the eigendecomposition, J^p r = V w^p V^T r, and raises
+    DomainError when that is not finite (p too large for the eigenvalues of
+    J).  Every arm raises JacobianNotPD for an indefinite J, with the
+    minimum eigenvalue, which is computed only then.
     """
-    if method not in FLOW_METHODS:
-        raise DomainError(f"unknown flow method {method!r}")
-    K = np.asarray(getattr(K, "K", K), dtype=float)
-    Kbar = np.asarray(getattr(Kbar, "K", Kbar), dtype=float)
-    if method == "fractional":
-        if s == 0.0:
-            method = "ricci"
-        elif s == 1.0:
-            method = "calabi"
-
-    if method == "ricci":
-        return Kbar - K
-
+    if p == 0:
+        return r
     if J is None:
-        raise DomainError(f"method {method!r} needs the curvature Jacobian")
-    A = _as_dense(J)
-    r = K - Kbar
-    if method == "calabi":
-        # a Cholesky factorisation is the positive-definiteness test; the
-        # eigenvalues are computed only to report a failure
-        try:
-            np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            _not_pd(np.linalg.eigvalsh(A)[0])
-        return -(A @ r)
-    w, V = np.linalg.eigh(A)
-    if w[0] <= 0.0:
-        _not_pd(w[0])
-    with np.errstate(all="ignore"):  # w**s may overflow; v is tested instead
-        v = -((V * w**s) @ (V.T @ r))
+        raise DomainError(f"J^p r with p = {p!r} needs the curvature Jacobian")
+    A = J if isinstance(J, np.ndarray) else J.dense()
+    try:
+        if p == 1 or p == -1:
+            L = np.linalg.cholesky(A)
+            return A @ r if p == 1 else np.linalg.solve(L.T, np.linalg.solve(L, r))
+        w, V = np.linalg.eigh(A)
+        if w[0] <= 0.0:
+            raise np.linalg.LinAlgError  # handled below like a failed factorisation
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(A)[0])
+        raise JacobianNotPD(
+            f"curvature Jacobian not positive definite, min eigenvalue {min_eig:.3e}",
+            min_eigenvalue=min_eig,
+        ) from None
+    with np.errstate(all="ignore"):  # w**p may overflow; the product is tested instead
+        v = (V * w**p) @ (V.T @ r)
     if not np.isfinite(v).all():
-        raise DomainError(f"fractional order s = {s!r}: J^s (K - Kbar) is not finite")
+        raise DomainError(f"fractional order s = {p!r}: J^s (K - Kbar) is not finite")
     return v
 
 
-def _not_pd(min_eigenvalue) -> None:
-    raise JacobianNotPD(
-        f"curvature Jacobian not positive definite, min eigenvalue {min_eigenvalue:.3e}",
-        min_eigenvalue=float(min_eigenvalue),
-    )
-
-
 def _target(s: Surface, Kbar) -> np.ndarray:
-    Kbar = np.asarray(getattr(Kbar, "K", Kbar), dtype=float)
+    Kbar = np.asarray(Kbar, dtype=float)
     if Kbar.shape != (s.n_boundary,) or not np.all((Kbar > 0.0) & (Kbar < math.inf)):
         raise DomainError(
             "target boundary lengths must be finite and positive, one per component"
@@ -276,7 +253,7 @@ def run_flow(
     Kbar = _target(s, Kbar)
     trace = RunLog(TRACE_COLUMNS, structure_condition=structure_condition_holds(s))
 
-    needs_jacobian = cfg.method == "calabi" or (cfg.method == "fractional" and cfg.s != 0.0)
+    needs_jacobian = _flow_power(cfg.method, cfg.s) != 0
     alpha = a0.alpha.copy()
     c = curvature(s, ConformalFactor(alpha), needs_jacobian)  # raises if a0 inadmissible
     resid = float(np.max(np.abs(c.K - Kbar)))
@@ -389,8 +366,8 @@ def solve_prescribed(
     """Damped Newton descent on the convex potential for target boundary
     lengths Kbar.
 
-    Directions solve J d = -(K - Kbar) with a Cholesky factorization; a
-    failed factorization falls back to one plain gradient step before a
+    Directions are d = -J^-1 (K - Kbar) from `_spd_apply`; a Jacobian that
+    is not positive definite falls back to one plain gradient step before a
     second consecutive failure raises JacobianNotPD.  Steps backtrack under
     an Armijo test on the potential with the same box and admissibility
     guards as the flows.  Persistent line-search failure against the
@@ -418,25 +395,20 @@ def solve_prescribed(
         )
         return dpot if dpot <= ARMIJO * lam * slope else None
 
-    previous_fallback = False
+    fallback = False
     for it in range(1, cfg.max_iters + 1):
         grad = c.K - Kbar
-        J = c.jacobian.dense()
-        fallback = False
         try:
-            L = np.linalg.cholesky(J)
-            d = -np.linalg.solve(L.T, np.linalg.solve(L, grad))
-        except np.linalg.LinAlgError:
-            if previous_fallback:
-                min_eig = float(np.linalg.eigvalsh(J).min())
+            d = -_spd_apply(c.jacobian, grad, -1)
+            fallback = False
+        except JacobianNotPD as exc:
+            if fallback:  # the previous iteration fell back too
                 raise JacobianNotPD(
                     "curvature Jacobian not positive definite on consecutive "
-                    f"iterations, min eigenvalue {min_eig:.3e}",
-                    min_eigenvalue=min_eig,
+                    f"iterations, min eigenvalue {exc.min_eigenvalue:.3e}",
+                    min_eigenvalue=exc.min_eigenvalue,
                 ) from None
-            d = -grad
-            fallback = True
-        previous_fallback = fallback
+            d, fallback = -grad, True
 
         slope = float(grad @ d)
         guarded = _guarded_step(s, alpha, d, 1.0, armijo)

@@ -276,9 +276,13 @@ def _compile(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> 
         ((ends < 0) | (ends >= n)).any() or not (etas > ETA_LOWER_BOUND).all()  # NaN included
         or ((corners < 0) | (corners >= n)).any() or _repeated_in_row(face_edges).any()
         or (strict and _repeated_in_row(corners).any())
+        or n > corners.size  # some component is a corner of no face
     ):
         return None
+    # n <= corners.size, so every end and corner fits np.intp
     ends, corners = ends.astype(np.intp, copy=False), corners.astype(np.intp, copy=False)
+    if not np.bincount(corners.ravel(), minlength=n).all():
+        return None
     # slot_edges[f, t]: position in edge order of the edge at slot t of
     # face f, -1 if no edge has its id
     position = dict(zip(edge_ids, range(len(edge_ids))))
@@ -324,7 +328,8 @@ def _check_entries(record: str, what: str, row, n=None) -> None:
 def _validate(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> None:
     """The record walk over columns that _compile rejects: raises
     ValidationError (EtaOutOfRange for a weight at or below -1) for n, else
-    for the first faulty edge, else for the first faulty face."""
+    for the first faulty edge, else for the first faulty face, else for the
+    smallest component that is a corner of no face."""
     if not isinstance(n, int) or n <= 0:
         raise ValidationError(f"n_boundary must be a positive integer, got {n!r}")
     ends_by_id = {}
@@ -357,6 +362,11 @@ def _validate(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) ->
             got, want = ends_by_id[eid], sorted(map(int, (cs[t - 2], cs[t - 1])))
             if got != want:
                 raise ValidationError(f"face {fid}: edge {eid} at slot {t} joins {got}, expected {want}")
+    touched = {int(c) for cs in corners for c in cs}
+    # stops within len(touched) + 1 steps, however large n is
+    untouched = next((c for c in range(n) if c not in touched), None)
+    if untouched is not None:
+        raise ValidationError(f"boundary component {untouched} is a corner of no face")
 
 
 # gamma_t = e[summand] + e[factor 0] * e[factor 1] over the columns

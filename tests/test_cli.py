@@ -94,6 +94,24 @@ class TestValidate:
         assert main(["validate", str(path), "--allow-repeated"]) == 0
 
 
+@pytest.mark.parametrize("command, n_boundary, component_2", [
+    ("validate", 2**64, 2**63),  # an index beyond np.intp in the array pass
+    ("jacobian-check", 2**50, 2),  # an 8 PiB Jacobian if loaded
+], ids=["beyond-intp", "huge-n"])
+def test_component_without_face_exits_2(tmp_path, capsys, command, n_boundary, component_2):
+    data = json.loads(fixture_path("f1", "eta0").read_text())
+    data["n_boundary"] = n_boundary
+    for rec, key in [*((e, "ends") for e in data["edges"]), *((f, "corners") for f in data["faces"])]:
+        rec[key] = [component_2 if c == 2 else c for c in rec[key]]
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    missing = 2 if component_2 != 2 else 3
+    assert capsys.readouterr().err == (
+        f"error: surface file {path}: boundary component {missing} is a corner of no face\n"
+    )
+
+
 class TestCurvature:
     def test_values(self, pants_path, factor_file, tmp_path, capsys):
         fpath = factor_file([math.pi / 6] * 3)
@@ -270,6 +288,21 @@ def test_unreadable_file_exits_2(pants_path, factor_file, target_file, tmp_path,
     paths[kind].write_bytes(text)
     assert main(["solve", *map(str, paths.values())]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {kind} file {paths[kind]}: ")
+
+
+@pytest.mark.parametrize("kind, content, message", [
+    ("factor", {"alpha": [[0.5], [0.5], [0.5]]}, "factor file {}: conformal factor must be a 1-d vector"),
+    ("factor", {"u": [1e308, 0.5, 0.5]},
+     "factor file {}: conformal factor components must lie in (0, pi/2)"),
+    ("target", {"K": [1.0, 1.0]}, "target file {} has 2 components, surface has 3"),
+], ids=["factor-shape", "factor-u-range", "target-length"])
+def test_content_errors_name_the_file(pants_path, factor_file, target_file, tmp_path, capsys,
+                                      kind, content, message):
+    paths = {"factor": factor_file([math.pi / 6] * 3), "target": target_file([1.0] * 3)}
+    paths[kind] = tmp_path / "bad.json"
+    paths[kind].write_text(json.dumps(content))
+    assert main(["solve", pants_path, str(paths["factor"]), str(paths["target"])]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(paths[kind])}\n"
 
 
 HUGE_INT = "1" + "0" * 400  # valid JSON, beyond the float range

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hexflow import (
     ConformalFactor,
@@ -13,7 +14,6 @@ from hexflow import (
     JacobianNotPD,
     NewtonConfig,
     NotAttained,
-    NotSPD,
     calabi_energy,
     curvature,
     default_base_point,
@@ -24,12 +24,11 @@ from hexflow import (
     sample_admissible,
     solve_prescribed,
     solve_prescribed_multistart,
-    spd_power,
     velocity,
 )
 import hexflow.conformal
 import hexflow.solve
-from hexflow.solve import CONVERGED, MAX_ITERS, MAX_STEPS, STALLED_STEP, _guarded_step
+from hexflow.solve import CONVERGED, MAX_ITERS, MAX_STEPS, STALLED_STEP, _guarded_step, _spd_apply
 from hexflow.tolerances import STEP_FLOOR, STEP_MARGIN
 from conftest import PROFILES, load, reference_factor
 
@@ -68,29 +67,26 @@ def state(pants):
     return K, Kbar, global_jacobian(pants, a)
 
 
-class TestSpdPower:
-    def test_identity_power(self, J):
-        assert np.abs(spd_power(J, 1.0) - J).max() < 1e-12
+class TestSpdApply:
+    R = np.array([0.3, -1.2, 0.7])
 
-    def test_zeroth_power(self, J):
-        assert np.abs(spd_power(J, 0.0) - np.eye(3)).max() < 1e-12
+    @pytest.mark.parametrize("p, reference", [
+        (1.0, lambda J, r: J @ r),
+        (-1.0, np.linalg.solve),
+        (0.5, lambda J, r: scipy.linalg.fractional_matrix_power(J, 0.5) @ r),
+        (2.0, lambda J, r: J @ (J @ r)),
+    ], ids=["1", "-1", "0.5", "2"])
+    def test_matches_reference(self, J, p, reference):
+        assert np.allclose(_spd_apply(J, self.R, p), reference(J, self.R), rtol=1e-12, atol=0.0)
 
-    def test_square_root_squares_back(self, J):
-        R = spd_power(J, 0.5)
-        assert np.abs(R @ R - J).max() < 1e-9
+    def test_zeroth_power_reads_no_jacobian(self):
+        assert _spd_apply(None, self.R, 0.0) is self.R
 
-    def test_inverse_power_composes(self, J):
-        assert np.abs(spd_power(spd_power(J, 2.0), 0.5) - J).max() < 1e-9
-
-    def test_rejects_indefinite(self):
-        A = np.diag([1.0, -2.0])
-        with pytest.raises(NotSPD) as err:
-            spd_power(A, 0.5)
-        assert err.value.min_eigenvalue == pytest.approx(-2.0)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NotSPD):
-            spd_power(np.array([[1.0, 0.5], [0.0, 1.0]]), 0.5)
+    @pytest.mark.parametrize("p", [1.0, -1.0, 0.5], ids=["cholesky", "cholesky-solve", "eigh"])
+    def test_not_pd_reports_min_eigenvalue(self, p):
+        with pytest.raises(JacobianNotPD) as err:
+            _spd_apply(np.diag([1.0, -2.0]), self.R[:2], p)
+        assert err.value.min_eigenvalue == -2.0
 
 
 class TestVelocity:
@@ -121,7 +117,7 @@ class TestVelocity:
     def test_fractional_uses_matrix_power(self, state):
         K, Kbar, J = state
         v = velocity("fractional", 0.5, K, Kbar, J)
-        expect = -(spd_power(J.dense(), 0.5) @ (K - Kbar))
+        expect = -(scipy.linalg.fractional_matrix_power(J.dense(), 0.5) @ (K - Kbar))
         assert np.allclose(v, expect, rtol=1e-12)
 
     def test_not_pd_reported(self, state):
@@ -132,16 +128,20 @@ class TestVelocity:
                 velocity(method, s, K, Kbar, bad)
             assert err.value.min_eigenvalue == pytest.approx(-0.5)
 
-    def test_calabi_tests_definiteness_without_eigh(self, state, monkeypatch):
+    def test_calabi_tests_definiteness_without_eigh(self, state, pants, monkeypatch):
         K, Kbar, J = state
         expect = velocity("calabi", 0.0, K, Kbar, J)
+        newton = np.linalg.solve(J.dense(), Kbar - K)
 
         def no_eigh(*args, **kwargs):
-            raise AssertionError("the calabi branch must not diagonalise J")
+            raise AssertionError("the calabi and Newton steps must not diagonalise J")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         assert np.array_equal(velocity("calabi", 0.0, K, Kbar, J), expect)
         assert np.array_equal(velocity("fractional", 1.0, K, Kbar, J), expect)
+        assert np.allclose(-_spd_apply(J, K - Kbar, -1.0), newton, rtol=1e-12, atol=0.0)
+        _, target, a0 = round_trip_problem(pants)
+        assert solve_prescribed(pants, a0, target)[1].status == CONVERGED
         bad = np.array([[2.0, 1.0, 0.0], [1.0, 0.4, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(JacobianNotPD) as err:
             velocity("calabi", 0.0, K, Kbar, bad)
@@ -422,8 +422,9 @@ class TestNewton:
                 return np.diag([1.0, 1.0, -1.0])
 
         stub_jacobians(monkeypatch, itertools.repeat(FakeJac()))
-        with pytest.raises(JacobianNotPD):
+        with pytest.raises(JacobianNotPD) as err:
             solve_prescribed(pants, a0, Kbar, NewtonConfig(max_iters=5))
+        assert err.value.min_eigenvalue == -1.0
 
     def test_log_csv(self, pants):
         _, Kbar, a0 = round_trip_problem(pants)

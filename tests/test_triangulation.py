@@ -334,6 +334,12 @@ LOADER_FAULTS = [
      ValidationError, 'face 3: edge 5 at slot 0 joins [0, 2], expected [1, 2]'),
     ('wrong_slot_edge_last', True, [(('faces', 3, 'edges'), [1, 5, 0])],
      ValidationError, 'face 3: edge 0 at slot 2 joins [1, 2], expected [0, 1]'),
+    ('component_without_face', True, [(('n_boundary',), 5)],
+     ValidationError, 'boundary component 3 is a corner of no face'),
+    ('n_boundary_beyond_int64', True, [(('n_boundary',), 2**64)],
+     ValidationError, 'boundary component 3 is a corner of no face'),
+    ('corner_beyond_int64', True, [(('n_boundary',), 2**64), (('faces', 3, 'corners'), [0, 1, 2**63])],
+     ValidationError, 'face 3: edge 1 at slot 0 joins [1, 2], expected [1, 9223372036854775808]'),
     # several faults: the earliest record, and within it the first check, wins
     ('multi_edges_earliest_wins', True, [
         (('edges', 7, 'eta'), -2.0),
