@@ -96,7 +96,7 @@ def cmd_validate(args) -> int:
     violations = check_structure_condition(surface)
     print(
         f"surface: {surface.n_boundary} boundary components, "
-        f"{len(surface.arrays.edge_ids)} edges, {len(surface.arrays.face_ids)} faces"
+        f"{len(surface.edge_ids)} edges, {len(surface.face_ids)} faces"
     )
     if violations:
         print("structure_condition: violated")
@@ -161,8 +161,7 @@ def cmd_jacobian_check(args) -> int:
         raise DomainError("--samples must be at least 1")
     surface = load_surface(args.surface, strict=args.strict)
     rng = np.random.default_rng(args.seed)
-    arrays = surface.arrays
-    eta_zero = not arrays.edge_etas.any()
+    eta_zero = not surface.edge_etas.any()
     structure_ok = not check_structure_condition(surface)
 
     max_sym = 0.0
@@ -179,7 +178,7 @@ def cmd_jacobian_check(args) -> int:
         dense = J.dense()
         scale = max(1.0, float(np.abs(dense).max()))
         max_fd_dev = max(max_fd_dev, float(np.abs(dense - fd).max()) / scale)
-        for corners, etas in zip(arrays.corners, arrays.etas.tolist()):
+        for corners, etas in zip(surface.corners, surface.etas.tolist()):
             ca = CornerAlpha(*factor.alpha[corners])
             fe = FaceEta(*etas)
             m = face_metric(ca, fe)

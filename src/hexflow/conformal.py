@@ -137,10 +137,10 @@ def factor_margins(s: Surface, alpha: np.ndarray) -> np.ndarray:
     LengthMismatch unless the last axis has n_boundary components."""
     _check_length(s, alpha)
     if alpha.min(initial=math.inf) > 0.0 and alpha.max(initial=-math.inf) < _HALF_PI:
-        return edge_margins(s.arrays, alpha).min(axis=-1, initial=math.inf)
+        return edge_margins(s, alpha).min(axis=-1, initial=math.inf)
     inside = ((alpha > 0.0) & (alpha < _HALF_PI)).all(axis=-1)
     with np.errstate(invalid="ignore"):  # cos(inf) off the box
-        margins = edge_margins(s.arrays, alpha).min(axis=-1, initial=math.inf)
+        margins = edge_margins(s, alpha).min(axis=-1, initial=math.inf)
     return np.where(inside, margins, -math.inf)
 
 
@@ -154,22 +154,22 @@ def factor_margin(s: Surface, alpha: np.ndarray) -> float:
 
 def admissibility(s: Surface, a: ConformalFactor) -> AdmissibilityReport:
     """Evaluate every edge's admissibility margin for a factor."""
-    alpha, arrays = a.alpha, s.arrays
+    alpha = a.alpha
     _check_length(s, alpha)
-    margins = edge_margins(arrays, alpha)
+    margins = edge_margins(s, alpha)
     dist = float(np.min(np.minimum(alpha, _HALF_PI - alpha))) if alpha.size else math.inf
-    capped = arrays.edge_etas <= 1.0
+    capped = s.edge_etas <= 1.0
     if capped.any():
-        i, j = arrays.ends[capped].T
-        gap = np.arccos(-arrays.edge_etas[capped]) - (alpha[i] + alpha[j])
+        i, j = s.ends[capped].T
+        gap = np.arccos(-s.edge_etas[capped]) - (alpha[i] + alpha[j])
         # distance to the hyperplane a_i + a_j = cap (2 a_i = cap for a
         # self-edge)
         dist = min(dist, float(np.min(gap / np.where(i == j, 2.0, math.sqrt(2.0)))))
     admissible = bool(np.all(margins > ADMISSIBILITY_EPS)) if margins.size else True
-    nearest = arrays.edge_ids[int(np.argmin(margins))] if margins.size else -1
+    nearest = s.edge_ids[int(np.argmin(margins))] if margins.size else -1
     return AdmissibilityReport(
         admissible=admissible,
-        edge_ids=arrays.edge_ids,
+        edge_ids=s.edge_ids,
         margins=margins,
         nearest_edge=nearest,
         distance_to_boundary=dist,
@@ -197,14 +197,13 @@ def _check_factors(s: Surface, alpha: np.ndarray) -> None:
 def _faces(s: Surface, alpha: np.ndarray, jacobian: bool = False) -> FaceValues:
     """Kernel values of every face at factors alpha (..., n), which the
     caller has checked."""
-    arrays = s.arrays
-    return face_kernel(alpha[..., arrays.corners], arrays.etas, jacobian, arrays.face_ids)
+    return face_kernel(alpha[..., s.corners], s.etas, jacobian, s.face_ids)
 
 
 def _scatter_arcs(s: Surface, arcs: np.ndarray) -> np.ndarray:
     """Boundary lengths from the arcs (F, 3) of one factor, summed into
     their components in face-then-slot order."""
-    return np.bincount(s.arrays.corners.ravel(), weights=arcs.ravel(), minlength=s.n_boundary)
+    return np.bincount(s.corners.ravel(), weights=arcs.ravel(), minlength=s.n_boundary)
 
 
 @dataclass(frozen=True)
@@ -240,16 +239,15 @@ def curvature_from_lengths(s: Surface, lengths: dict[int, float]) -> np.ndarray:
     resolution.  Raises DomainError unless every length is positive and
     finite.
     """
-    arrays = s.arrays
-    missing = set(arrays.edge_ids) - lengths.keys()
+    missing = set(s.edge_ids) - lengths.keys()
     if missing:
         raise LengthMismatch(f"lengths missing for edges {sorted(missing)}")
     # (l_ij, l_ik, l_jk) per face; slot t holds the edge opposite corner t
-    L = np.array([lengths[e] for e in arrays.edge_ids], dtype=float)[arrays.slot_edges[:, ::-1]]
+    L = np.array([lengths[e] for e in s.edge_ids], dtype=float)[s.slot_edges[:, ::-1]]
     if not np.all((L > 0.0) & (L < math.inf)):
         raise DomainError("edge lengths must be positive and finite")
     with np.errstate(all="ignore"):
-        _, arcs, _ = face_arcs(L, s.arrays.face_ids)
+        _, arcs, _ = face_arcs(L, s.face_ids)
     return _scatter_arcs(s, arcs)
 
 
@@ -306,7 +304,7 @@ def global_jacobian(s: Surface, a: ConformalFactor) -> GlobalJacobian:
 def _assemble(s: Surface, blocks: np.ndarray) -> GlobalJacobian:
     # per-face blocks (F, 3, 3) summed into the CSR pattern in face-then-slot
     # order (repeated corners sum)
-    pattern, slot = s.arrays.jacobian_pattern
+    pattern, slot = s.jacobian_pattern
     data = np.bincount(slot, weights=blocks.ravel(), minlength=pattern.indices.size)
     return GlobalJacobian(data, pattern)
 
@@ -314,7 +312,7 @@ def _assemble(s: Surface, blocks: np.ndarray) -> GlobalJacobian:
 def default_base_point(s: Surface) -> ConformalFactor:
     """A factor guaranteed admissible for this surface: all components equal
     to half the tightest per-edge cap (capped at pi/4)."""
-    etas = s.arrays.edge_etas
+    etas = s.edge_etas
     cap = 0.25 * math.pi
     if etas.size:
         # acos(-x) increases with x: the smallest weight sets the cap
@@ -344,7 +342,7 @@ def _segment_curvature_integral(
         return out
     starts, d = starts[moving], d[moving]
     # K . d summed face by face: each arc times the step of its component
-    d_corners = d[:, s.arrays.corners].reshape(len(d), -1, 1)
+    d_corners = d[:, s.corners].reshape(len(d), -1, 1)
 
     def integrand(level) -> np.ndarray:
         rows, t = level
@@ -353,7 +351,7 @@ def _segment_curvature_integral(
         arcs = _faces(s, alpha).arcs.reshape(len(rows), t.size, -1)
         return np.matmul(arcs, d_corners[rows])[..., 0]
 
-    max_points = BATCH_FACE_EVALS // len(s.arrays.face_ids)
+    max_points = BATCH_FACE_EVALS // len(s.face_ids)
     out[moving] = line_integral(integrand, len(moving), max_points=max_points)
     return out
 
@@ -419,11 +417,11 @@ def sample_admissible(
 def curvature_dump(s: Surface, a: ConformalFactor) -> dict:
     """JSON-ready dump of K, the Jacobian triplets and the edge margins."""
     c = curvature(s, a, jacobian=True)
-    margins = edge_margins(s.arrays, a.alpha)
+    margins = edge_margins(s, a.alpha)
     return {
         "K": c.K.tolist(),
         "jacobian": c.jacobian.to_coo_dict(),
-        "margins": dict(zip(map(str, s.arrays.edge_ids), margins.tolist())),
+        "margins": dict(zip(map(str, s.edge_ids), margins.tolist())),
     }
 
 
@@ -435,10 +433,9 @@ def chain_global_jacobian(s: Surface, a: ConformalFactor) -> GlobalJacobian:
     """dK/da assembled from the raw chain-rule blocks of the scalar
     reference, symmetric only up to rounding."""
     _check_factors(s, a.alpha)
-    arrays = s.arrays
     chain = [
         face_jacobian_chain(CornerAlpha(*a.alpha[c]), FaceEta(*e))
-        for c, e in zip(arrays.corners, arrays.etas.tolist())
+        for c, e in zip(s.corners, s.etas.tolist())
     ]
     return _assemble(s, np.array(chain))
 

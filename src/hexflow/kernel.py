@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .triangulation import SurfaceArrays
+from .triangulation import Surface
 
 # Corner slots of the face sides (ij, ik, jk), in length order, and the
 # corner opposite each side.
@@ -48,11 +48,11 @@ class FaceValues:
     jacobian: np.ndarray | None = None
 
 
-def edge_margins(arrays: SurfaceArrays, alpha: np.ndarray) -> np.ndarray:
+def edge_margins(s: Surface, alpha: np.ndarray) -> np.ndarray:
     """Admissibility margins cos(a_i + a_j) + eta per edge, in surface edge
     order, for factors alpha of shape (..., n); returns (..., M)."""
-    ends = arrays.ends
-    return np.cos(alpha[..., ends[:, 0]] + alpha[..., ends[:, 1]]) + arrays.edge_etas
+    ends = s.ends
+    return np.cos(alpha[..., ends[:, 0]] + alpha[..., ends[:, 1]]) + s.edge_etas
 
 
 def _acosh1p(t: np.ndarray) -> np.ndarray:

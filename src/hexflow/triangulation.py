@@ -6,8 +6,9 @@ slot t joins the two corners at the other slots.  Edges are identified by id,
 not by endpoint pair, so parallel edges and self-edges are representable and
 may carry distinct weights.
 
-A surface is held as index arrays (`SurfaceArrays`).  `load_surface` reads
-the JSON records straight into them.  Files and `Edge`/`Face` tuples are
+A `Surface` is its index arrays (corners and weights per face, ends and
+weights per edge), held as its own attributes.  `load_surface` reads the
+JSON records straight into them.  Files and `Edge`/`Face` tuples are
 checked alike, in two parts.  An array pass (`_compile`, after `_columns`
 for a file) decides: it builds the arrays of a valid surface and returns
 None when any rule fails.  Only then a plain record walk (`_parse_records`
@@ -57,49 +58,6 @@ class Face:
 
 
 @dataclass(frozen=True)
-class SurfaceArrays:
-    """A surface compiled into index arrays, in surface face and edge order.
-
-    corners[f, t] is the component at corner slot t of face f, and
-    etas[f] holds that face's weights (e_ij, e_ik, e_jk) as in
-    Surface.face_etas; ends[e] and edge_etas[e] are the endpoints and weight
-    of edge e, and slot_edges[f, t] is the position in edge order of the
-    edge at corner slot t of face f.
-    """
-
-    n: int
-    face_ids: tuple[int, ...]
-    corners: np.ndarray
-    etas: np.ndarray
-    edge_ids: tuple[int, ...]
-    ends: np.ndarray
-    edge_etas: np.ndarray
-    slot_edges: np.ndarray
-
-    def __post_init__(self):
-        # shared by every evaluation on the surface
-        for arr in (self.corners, self.etas, self.ends, self.edge_etas, self.slot_edges):
-            arr.flags.writeable = False
-
-    @cached_property
-    def jacobian_pattern(self) -> tuple[CsrPattern, np.ndarray]:
-        """CSR pattern of the n x n curvature Jacobian, and for each entry of
-        the per-face 3x3 blocks, flattened in face-then-slot order, the
-        position of its summand in the CSR data vector."""
-        rows = np.repeat(self.corners, 3, axis=1).ravel()
-        cols = np.tile(self.corners, 3).ravel()
-        keys, slot = np.unique(rows * self.n + cols, return_inverse=True)
-        indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(keys // self.n, minlength=self.n), out=indptr[1:])
-        # int32, the index type scipy picks for these sizes, so building a
-        # matrix copies nothing; read-only, as every matrix shares them
-        indices, slot = (keys % self.n).astype(np.int32), slot.astype(np.int32)
-        for arr in (indptr, indices, slot):
-            arr.flags.writeable = False
-        return CsrPattern(self.n, indptr, indices), slot
-
-
-@dataclass(frozen=True)
 class CsrPattern:
     """Sparsity pattern of an n x n CSR matrix with sorted, unique column
     indices in each row."""
@@ -124,7 +82,13 @@ class CsrPattern:
 
 
 class Surface:
-    """Validated, immutable triangulation, held as index arrays (`arrays`).
+    """Validated, immutable triangulation, held as index arrays in face and
+    edge order, read-only as every evaluation on the surface shares them:
+    corners[f, t] is the component at corner slot t of face f and etas[f]
+    its weights (e_ij, e_ik, e_jk) as in face_etas; ends[e] and edge_etas[e]
+    are the endpoints and weight of edge e; slot_edges[f, t] is the position
+    in edge order of the edge at corner slot t of face f.  face_ids and
+    edge_ids are tuples.
 
     strict_mode rejects faces whose corners repeat a boundary component;
     pass strict_mode=False to admit them (the conformal layer then sums
@@ -142,15 +106,13 @@ class Surface:
             [e.id for e in edges], [e.ends for e in edges], [e.eta for e in edges],
             [f.id for f in faces], [f.corners for f in faces], [f.edges for f in faces],
         )
-        arrays = _compile(*columns) or _validate(*columns)  # the record walk raises
-        self.__dict__.update(
-            n_boundary=n_boundary, strict_mode=strict_mode, arrays=arrays, edges=edges, faces=faces
-        )
+        fields = _compile(*columns) or _validate(*columns)  # the record walk raises
+        vars(self).update(fields, edges=edges, faces=faces)
 
     @classmethod
-    def _of_arrays(cls, n_boundary: int, strict_mode: bool, arrays: SurfaceArrays) -> Surface:
+    def _of_fields(cls, fields: dict) -> Surface:
         s = cls.__new__(cls)
-        s.__dict__.update(n_boundary=n_boundary, strict_mode=strict_mode, arrays=arrays)
+        vars(s).update(fields)
         return s
 
     def __setattr__(self, name, value):
@@ -162,38 +124,51 @@ class Surface:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        a, b = self.arrays, other.arrays
         return (
-            (self.n_boundary, self.strict_mode, a.edge_ids, a.face_ids)
-            == (other.n_boundary, other.strict_mode, b.edge_ids, b.face_ids)
+            (self.n_boundary, self.strict_mode, self.edge_ids, self.face_ids)
+            == (other.n_boundary, other.strict_mode, other.edge_ids, other.face_ids)
             and all(
-                np.array_equal(x, y)
-                for x, y in ((a.ends, b.ends), (a.edge_etas, b.edge_etas),
-                             (a.corners, b.corners), (a.slot_edges, b.slot_edges))
+                np.array_equal(getattr(self, k), getattr(other, k))
+                for k in ("ends", "edge_etas", "corners", "slot_edges")
             )
         )
 
     def __hash__(self):
-        a = self.arrays
-        return hash((self.n_boundary, self.strict_mode, a.edge_ids, a.face_ids))
+        return hash((self.n_boundary, self.strict_mode, self.edge_ids, self.face_ids))
 
     def __repr__(self):
-        a = self.arrays
         return (
-            f"Surface(n_boundary={self.n_boundary!r}, edges={len(a.edge_ids)}, "
-            f"faces={len(a.face_ids)}, strict_mode={self.strict_mode!r})"
+            f"Surface(n_boundary={self.n_boundary!r}, edges={len(self.edge_ids)}, "
+            f"faces={len(self.face_ids)}, strict_mode={self.strict_mode!r})"
         )
 
     @cached_property
+    def jacobian_pattern(self) -> tuple[CsrPattern, np.ndarray]:
+        """CSR pattern of the n x n curvature Jacobian, and for each entry of
+        the per-face 3x3 blocks, flattened in face-then-slot order, the
+        position of its summand in the CSR data vector."""
+        n = self.n_boundary
+        rows = np.repeat(self.corners, 3, axis=1).ravel()
+        cols = np.tile(self.corners, 3).ravel()
+        keys, slot = np.unique(rows * n + cols, return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        # int32, the index type scipy picks for these sizes, so building a
+        # matrix copies nothing; read-only, as every matrix shares them
+        indices, slot = (keys % n).astype(np.int32), slot.astype(np.int32)
+        for arr in (indptr, indices, slot):
+            arr.flags.writeable = False
+        return CsrPattern(n, indptr, indices), slot
+
+    @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        a = self.arrays
-        return tuple(map(Edge, a.edge_ids, map(tuple, a.ends.tolist()), a.edge_etas.tolist()))
+        ends, etas = self.ends.tolist(), self.edge_etas.tolist()
+        return tuple(map(Edge, self.edge_ids, map(tuple, ends), etas))
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        a = self.arrays
-        ids = a.edge_ids
-        rows = zip(a.face_ids, a.corners.tolist(), a.slot_edges.tolist())
+        ids = self.edge_ids
+        rows = zip(self.face_ids, self.corners.tolist(), self.slot_edges.tolist())
         return tuple(
             Face(fid, tuple(corners), (ids[i], ids[j], ids[k])) for fid, corners, (i, j, k) in rows
         )
@@ -214,14 +189,13 @@ class Surface:
         return (e_ij, e_ik, e_jk)
 
     def to_dict(self) -> dict:
-        a = self.arrays
-        ids = a.edge_ids
-        rows = zip(a.face_ids, a.corners.tolist(), a.slot_edges.tolist())
+        ids = self.edge_ids
+        rows = zip(self.face_ids, self.corners.tolist(), self.slot_edges.tolist())
         return {
             "n_boundary": self.n_boundary,
             "edges": [
                 {"id": eid, "ends": ends, "eta": eta}
-                for eid, ends, eta in zip(ids, a.ends.tolist(), a.edge_etas.tolist())
+                for eid, ends, eta in zip(ids, self.ends.tolist(), self.edge_etas.tolist())
             ],
             "faces": [
                 {"id": fid, "corners": corners, "edges": [ids[i], ids[j], ids[k]]}
@@ -260,10 +234,11 @@ def _repeated_in_row(t: np.ndarray) -> np.ndarray:
     return (a == b) | (a == c) | (b == c)
 
 
-def _compile(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> SurfaceArrays | None:
+def _compile(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> dict | None:
     """The array pass over the columns of a surface (edge ids, ends and
-    weights; face ids, corners and slot edge ids): its arrays, or None
-    when a rule fails.  Warns about edges no face references."""
+    weights; face ids, corners and slot edge ids): the attributes of its
+    Surface, arrays read-only, or None when a rule fails.  Warns about
+    edges no face references."""
     if not isinstance(n, int) or n <= 0:
         return None
     etas = np.asarray(etas, dtype=float)
@@ -301,9 +276,12 @@ def _compile(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> 
         unreferenced = sorted(edge_ids[i] for i in np.flatnonzero(~referenced))
         logger.warning("edges not referenced by any face: %s", unreferenced)
 
-    return SurfaceArrays(
-        n=n, face_ids=tuple(face_ids), corners=corners, etas=etas[slot_edges[:, ::-1]],
-        edge_ids=tuple(edge_ids), ends=ends, edge_etas=etas, slot_edges=slot_edges,
+    face_etas = etas[slot_edges[:, ::-1]]
+    for arr in (corners, face_etas, ends, etas, slot_edges):
+        arr.flags.writeable = False  # shared by every evaluation on the surface
+    return dict(
+        n_boundary=n, strict_mode=strict, face_ids=tuple(face_ids), corners=corners,
+        etas=face_etas, edge_ids=tuple(edge_ids), ends=ends, edge_etas=etas, slot_edges=slot_edges,
     )
 
 
@@ -370,7 +348,7 @@ def _validate(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) ->
 
 
 # gamma_t = e[summand] + e[factor 0] * e[factor 1] over the columns
-# (e_ij, e_ik, e_jk) of SurfaceArrays.etas, for t = i, j, k
+# (e_ij, e_ik, e_jk) of Surface.etas, for t = i, j, k
 _GAMMA_SUMMAND = np.array([2, 1, 0])
 _GAMMA_FACTORS = np.array([[0, 0, 1], [1, 2, 2]])
 
@@ -383,10 +361,10 @@ def check_structure_condition(s: Surface) -> list[tuple[int, str, float]]:
     (face_id, label, value), by face and then label; an empty list means
     the condition holds.
     """
-    e = s.arrays.etas  # columns e_ij, e_ik, e_jk
+    e = s.etas  # columns e_ij, e_ik, e_jk
     gammas = e[:, _GAMMA_SUMMAND] + e[:, _GAMMA_FACTORS[0]] * e[:, _GAMMA_FACTORS[1]]
     faces, slots = (gammas < 0.0).nonzero()
-    ids = s.arrays.face_ids
+    ids = s.face_ids
     return [
         (ids[f], STRUCTURE_LABELS[t], g)
         for f, t, g in zip(faces.tolist(), slots.tolist(), gammas[faces, slots].tolist())
@@ -466,10 +444,10 @@ def _parse_surface_dict(data: dict, strict: bool) -> Surface:
 
     n, edges, faces = data["n_boundary"], data["edges"], data["faces"]
     columns = _columns(edges, faces)
-    arrays = columns and _compile(n, strict, *columns)
+    fields = columns and _compile(n, strict, *columns)
     # where the array pass rejects, the record walk raises
-    arrays = arrays or _parse_records(edges, faces) or _validate(n, strict, *columns)
-    return Surface._of_arrays(n, strict, arrays)
+    fields = fields or _parse_records(edges, faces) or _validate(n, strict, *columns)
+    return Surface._of_fields(fields)
 
 
 def load_surface(path, strict: bool = True) -> Surface:

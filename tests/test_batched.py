@@ -66,7 +66,7 @@ def loop_segment_integral(s, start, end, max_nodes=QUAD_MAX_NODES):
     d = end - start
     if not np.any(d):
         return 0.0
-    d_corners = d[s.arrays.corners].ravel()
+    d_corners = d[s.corners].ravel()
 
     def integrand(t):
         alpha = start + t[:, None] * d

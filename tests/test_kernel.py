@@ -85,7 +85,7 @@ def factor_at(s, point):
 def test_kernel_matches_scalar_oracle(fixture, profile, point):
     s = load(fixture, profile)
     a = factor_at(s, point)
-    got = face_kernel(a.alpha[s.arrays.corners], s.arrays.etas, jacobian=True)
+    got = face_kernel(a.alpha[s.corners], s.etas, jacobian=True)
     K = np.zeros(s.n_boundary)
     J = np.zeros((s.n_boundary, s.n_boundary))
     for k, (f, m, block) in enumerate(oracle_faces(s, a)):
@@ -106,7 +106,7 @@ def test_kernel_matches_scalar_oracle(fixture, profile, point):
 def test_kernel_jacobian_exactly_symmetric(fixture, profile, point):
     s = load(fixture, profile)
     a = factor_at(s, point)
-    blocks = face_kernel(a.alpha[s.arrays.corners], s.arrays.etas, jacobian=True).jacobian
+    blocks = face_kernel(a.alpha[s.corners], s.etas, jacobian=True).jacobian
     assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
     J = global_jacobian(s, a).dense()
     assert np.array_equal(J, J.T)
@@ -114,7 +114,7 @@ def test_kernel_jacobian_exactly_symmetric(fixture, profile, point):
 
 def test_face_arcs_is_the_arc_half_of_the_kernel():
     s = load("f2", "mixed")
-    full = face_kernel(reference_factor(s).alpha[s.arrays.corners], s.arrays.etas)
+    full = face_kernel(reference_factor(s).alpha[s.corners], s.etas)
     _, arcs, A = face_arcs(full.lengths)
     assert np.array_equal(arcs, full.arcs)
     assert np.array_equal(A, full.A)
@@ -124,9 +124,9 @@ def test_batch_axes_match_single_points():
     s = load("f2", "mixed")
     base = reference_factor(s).alpha
     batch = base * np.linspace(0.8, 1.1, 5)[:, None]
-    got = face_kernel(batch[..., s.arrays.corners], s.arrays.etas, jacobian=True)
+    got = face_kernel(batch[..., s.corners], s.etas, jacobian=True)
     for b in range(batch.shape[0]):
-        one = face_kernel(batch[b][s.arrays.corners], s.arrays.etas, jacobian=True)
+        one = face_kernel(batch[b][s.corners], s.etas, jacobian=True)
         for name in ("lengths", "arcs", "A", "jacobian"):
             assert relative_error(getattr(got, name)[b], getattr(one, name)) <= RTOL
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import logging
 import math
@@ -21,7 +20,7 @@ from hexflow import (
     save_surface,
 )
 from hexflow.conformal import curvature_dump
-from hexflow.triangulation import STRUCTURE_LABELS, SurfaceArrays
+from hexflow.triangulation import STRUCTURE_LABELS
 from conftest import fixture_path
 
 
@@ -440,8 +439,8 @@ def test_tuples_and_file_give_the_same_surface(fixture, profile):
     built = surface_from_records(json.loads(path.read_text()))
     loaded = load_surface(path)
     assert built == loaded
-    for field in dataclasses.fields(SurfaceArrays):
-        a, b = getattr(built.arrays, field.name), getattr(loaded.arrays, field.name)
+    for field in ("face_ids", "corners", "etas", "edge_ids", "ends", "edge_etas", "slot_edges"):
+        a, b = getattr(built, field), getattr(loaded, field)
         if isinstance(a, np.ndarray):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         else:
@@ -490,8 +489,8 @@ def test_tuple_constructor_checks_shapes():
     with pytest.raises(ValidationError, match="^face 1: edge id '2' is not an integer$"):
         Surface(3, edges, faces + [Face(1, (0, 1, 2), (0, 1, "2"))])
     s = Surface(3, [Edge(0, (True, 2), 0.0), *edges[1:]], faces + [Face(1, (False, 1, 2), (0, True, 2))])
-    assert s.arrays.corners.tolist() == [[0, 1, 2], [0, 1, 2]]
-    assert s.arrays.slot_edges.tolist() == [[0, 1, 2], [0, 1, 2]]
+    assert s.corners.tolist() == [[0, 1, 2], [0, 1, 2]]
+    assert s.slot_edges.tolist() == [[0, 1, 2], [0, 1, 2]]
 
 
 def test_loaded_surface_builds_no_tuples(tmp_path):
