@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input problem (parse/validation), 3 inadmissible
-factor, 4 non-convergence (step budget or stall), 5 Jacobian not positive
-definite, 6 target not attainable.  Identical inputs and seed produce
+Exit codes: 0 success, 2 input problem (parse/validation) or an output
+file that cannot be written, 3 inadmissible factor, 4 non-convergence
+(step budget or stall), 5 Jacobian not positive definite, 6 target not
+attainable.  Identical inputs and seed produce
 byte-identical outputs: reductions are ordered and floats are written in
 shortest round-trip decimal.
 """
@@ -40,10 +41,9 @@ from .hexagon import (
     FaceEta,
     det_length_alpha_jacobian,
     diagonal_identity_residuals,
-    face_metric,
     length_jacobian_fd,
 )
-from .jsonio import dump, dumps, load
+from .jsonio import dump, dumps, load, write
 from .solve import (
     CONVERGED,
     JACOBIAN_NOT_PD,
@@ -75,7 +75,7 @@ def _write_json(data: dict, path: str | None) -> None:
     if path is None:
         print(dumps(data))
     else:
-        dump(data, path)
+        dump(data, path, "curvature")
 
 
 def _load_target(path, n: int) -> np.ndarray:
@@ -87,7 +87,8 @@ def _load_target(path, n: int) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"target file {path}: {exc}") from exc
     if K.shape != (n,):
-        raise ParseError(f"target file {path} has {K.size} components, surface has {n}")
+        got = f"{K.size} components" if K.ndim == 1 else f"shape {K.shape}"
+        raise ParseError(f"target file {path} has {got}, surface has {n}")
     return K
 
 
@@ -127,7 +128,7 @@ def cmd_flow(args) -> int:
     )
     result, trace = run_flow(surface, factor, Kbar, cfg)
     if args.trace:
-        trace.write_csv(args.trace)
+        write(args.trace, trace.to_csv(), "trace")
     if args.out:
         save_factor(result, args.out)
     print(
@@ -148,7 +149,7 @@ def cmd_solve(args) -> int:
     cfg = NewtonConfig(tol=args.tol, max_iters=args.max_iters)
     result, log = solve_prescribed(surface, factor, Kbar, cfg)
     if args.log:
-        log.write_csv(args.log)
+        write(args.log, log.to_csv(), "log")
     if args.out:
         save_factor(result, args.out)
     last = log.rows[-1]
@@ -159,6 +160,8 @@ def cmd_solve(args) -> int:
 def cmd_jacobian_check(args) -> int:
     if args.samples < 1:
         raise DomainError("--samples must be at least 1")
+    if args.seed < 0:
+        raise DomainError("--seed must be non-negative")
     surface = load_surface(args.surface, strict=args.strict)
     rng = np.random.default_rng(args.seed)
     eta_zero = not surface.edge_etas.any()
@@ -181,14 +184,13 @@ def cmd_jacobian_check(args) -> int:
         for corners, etas in zip(surface.corners, surface.etas.tolist()):
             ca = CornerAlpha(*factor.alpha[corners])
             fe = FaceEta(*etas)
-            m = face_metric(ca, fe)
-            det_closed = det_length_alpha_jacobian(ca, fe, m)
+            det_closed = det_length_alpha_jacobian(ca, fe)
             det_fd = float(np.linalg.det(length_jacobian_fd(ca, fe)))
             max_det_dev = max(
                 max_det_dev, abs(det_closed - det_fd) / max(1.0, abs(det_closed))
             )
             if eta_zero:
-                res = diagonal_identity_residuals(ca, fe, m)
+                res = diagonal_identity_residuals(ca, fe)
                 max_identity = max(max_identity, max(abs(r) for r in res))
 
     print(f"samples={args.samples} seed={args.seed}")
@@ -228,8 +230,7 @@ def cmd_volume(args) -> int:
 
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write(args.out, text, "volume")
     else:
         print(text, end="")
     return EXIT_OK

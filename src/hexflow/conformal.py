@@ -100,7 +100,7 @@ def load_factor(path, n: int | None = None) -> ConformalFactor:
 
 
 def save_factor(factor: ConformalFactor, path) -> None:
-    dump(factor.to_dict(), path)
+    dump(factor.to_dict(), path, "factor")
 
 
 @dataclass(frozen=True)

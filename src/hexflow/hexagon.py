@@ -232,19 +232,14 @@ def length_alpha_jacobian(
     )
 
 
-def face_jacobian_chain(
-    alpha: CornerAlpha, eta: FaceEta, m: HexagonMetric | None = None
-) -> np.ndarray:
+def face_jacobian_chain(alpha: CornerAlpha, eta: FaceEta) -> np.ndarray:
     """Angle Jacobian d(th)/d(a) as the product of the derivative cosine law
     with the length derivatives.  Symmetric up to rounding."""
-    if m is None:
-        m = face_metric(alpha, eta)
+    m = face_metric(alpha, eta)
     return angle_length_jacobian(m) @ length_alpha_jacobian(alpha, eta, m)
 
 
-def face_jacobian_closed(
-    alpha: CornerAlpha, eta: FaceEta, m: HexagonMetric | None = None
-) -> np.ndarray:
+def face_jacobian_closed(alpha: CornerAlpha, eta: FaceEta) -> np.ndarray:
     """Angle Jacobian d(th)/d(a) with exactly symmetric off-diagonal entries.
 
     Off-diagonal entries use the closed form
@@ -256,8 +251,7 @@ def face_jacobian_closed(
     diagonal entries come from the chain rule (no closed form exists for
     general weights).
     """
-    if m is None:
-        m = face_metric(alpha, eta)
+    m = face_metric(alpha, eta)
     a_i, a_j, a_k = alpha.as_tuple()
     s_i, s_j, s_k = math.sin(a_i), math.sin(a_j), math.sin(a_k)
     c_i, c_j, c_k = math.cos(a_i), math.cos(a_j), math.cos(a_k)
@@ -273,7 +267,7 @@ def face_jacobian_closed(
         m.A * math.sinh(m.l_jk) ** 2 * s_j**2 * s_k**2 * s_i
     )
 
-    chain = face_jacobian_chain(alpha, eta, m)
+    chain = angle_length_jacobian(m) @ length_alpha_jacobian(alpha, eta, m)
     return np.array(
         [
             [chain[0, 0], d_ij, d_ik],
@@ -327,13 +321,10 @@ def _det_denominator(alpha: CornerAlpha, m: HexagonMetric) -> float:
     return math.sinh(m.l_ij) * math.sinh(m.l_ik) * math.sinh(m.l_jk) * s_i**3 * s_j**3 * s_k**3
 
 
-def det_length_alpha_jacobian(
-    alpha: CornerAlpha, eta: FaceEta, m: HexagonMetric | None = None
-) -> float:
+def det_length_alpha_jacobian(alpha: CornerAlpha, eta: FaceEta) -> float:
     """Closed-form determinant of d(l_ij, l_ik, l_jk)/d(a_i, a_j, a_k);
     strictly positive whenever the structure condition holds."""
-    if m is None:
-        m = face_metric(alpha, eta)
+    m = face_metric(alpha, eta)
     a_i, a_j, a_k = alpha.as_tuple()
     c_i, c_j, c_k = math.cos(a_i), math.cos(a_j), math.cos(a_k)
     num = (
@@ -345,13 +336,10 @@ def det_length_alpha_jacobian(
     return num / _det_denominator(alpha, m)
 
 
-def det_lower_bound(
-    alpha: CornerAlpha, eta: FaceEta, m: HexagonMetric | None = None
-) -> float:
+def det_lower_bound(alpha: CornerAlpha, eta: FaceEta) -> float:
     """Product lower bound 2 cos(a_i) cos(a_j) cos(a_k) (1+e_ij)(1+e_ik)(1+e_jk)
     over the same denominator; valid under the structure condition."""
-    if m is None:
-        m = face_metric(alpha, eta)
+    m = face_metric(alpha, eta)
     a_i, a_j, a_k = alpha.as_tuple()
     num = (
         2.0
@@ -365,17 +353,14 @@ def det_lower_bound(
     return num / _det_denominator(alpha, m)
 
 
-def diagonal_identity_residuals(
-    alpha: CornerAlpha, eta: FaceEta, m: HexagonMetric | None = None
-) -> tuple[float, float, float]:
+def diagonal_identity_residuals(alpha: CornerAlpha, eta: FaceEta) -> tuple[float, float, float]:
     """Residuals J_pp - sum_q J_pq cosh(l_pq) per corner.
 
     Exactly zero (in exact arithmetic) when all weights vanish; exposed as a
     diagnostic for general weights, where the identity is only conjectural.
     """
-    if m is None:
-        m = face_metric(alpha, eta)
-    J = face_jacobian_closed(alpha, eta, m)
+    m = face_metric(alpha, eta)
+    J = face_jacobian_closed(alpha, eta)
     ch_ij, ch_ik, ch_jk = math.cosh(m.l_ij), math.cosh(m.l_ik), math.cosh(m.l_jk)
     r_i = J[0, 0] - J[0, 1] * ch_ij - J[0, 2] * ch_ik
     r_j = J[1, 1] - J[1, 0] * ch_ij - J[1, 2] * ch_jk

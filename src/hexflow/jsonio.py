@@ -1,10 +1,12 @@
 """The JSON reader and the one JSON writer of the package.
 
 `load(path, kind)` reads a JSON document and raises ParseError naming the
-file when it cannot be read or decoded.
+file when it cannot be read or decoded.  `write(path, text, kind)` is the
+one writer of every output file, JSON or CSV: it raises HexflowError
+naming the file when the file cannot be written.
 
 `dumps(obj)` returns exactly the text of `json.dumps(obj, indent=1)`, and
-`dump(obj, path)` writes it with a final newline; dict keys must be
+`dump(obj, path, kind)` writes it with a final newline; dict keys must be
 strings.  The stdlib falls back to its pure-Python encoder whenever
 `indent` is set; this one writes a list (or the values of a dict) that
 holds only floats or only ints in a single join, which is most of a
@@ -18,7 +20,7 @@ import json
 import math
 from json.encoder import encode_basestring_ascii as _string
 
-from .errors import ParseError
+from .errors import HexflowError, ParseError
 
 
 def load(path, kind: str):
@@ -34,9 +36,18 @@ def dumps(obj) -> str:
     return _encode(obj, "\n")
 
 
-def dump(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj) + "\n")
+def write(path, text: str, kind: str) -> None:
+    """Write text to the `kind` file at path, in UTF-8 and with no newline
+    translation."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise HexflowError(f"cannot write {kind} file {path}: {exc}") from exc
+
+
+def dump(obj, path, kind: str) -> None:
+    write(path, dumps(obj) + "\n", kind)
 
 
 def _float(x: float) -> str:

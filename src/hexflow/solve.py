@@ -104,8 +104,8 @@ class RunLog:
     structure condition held.
 
     A column may be pending: its rows hold None until the first read of
-    rows (column, to_csv, write_csv) fills them from pending(), which
-    returns the whole column."""
+    rows (column, to_csv) fills them from pending(), which returns the
+    whole column."""
 
     columns: tuple[str, ...]
     status: str = ""
@@ -145,10 +145,6 @@ class RunLog:
             lines.append(f"# structure_condition={str(self.structure_condition).lower()}")
         lines.append(f"# status={self.status}")
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
 
 
 def _flow_power(method: str, s: float) -> float:

@@ -469,7 +469,7 @@ def load_surface(path, strict: bool = True) -> Surface:
 def save_surface(s: Surface, path) -> None:
     """Write a surface as JSON; a load of the result reproduces the surface
     bit for bit (floats are written in shortest round-trip decimal)."""
-    dump(s.to_dict(), path)
+    dump(s.to_dict(), path, "surface")
 
 
 def pair_of_pants(etas: tuple[float, float, float] = (0.0, 0.0, 0.0)) -> Surface:

@@ -100,7 +100,7 @@ def test_criterion_3_closed_form_vs_fd():
     for fixture, profile, s in each_surface():
         for a in seeded_samples(s, seed=3, margin=1e-2):
             for _f, ca, fe, m in face_states(s, a):
-                J = face_jacobian_closed(ca, fe, m)
+                J = face_jacobian_closed(ca, fe)
                 F = face_jacobian_fd(ca, fe, h=1e-6)
                 dev = np.abs(J - F).max() / max(1.0, np.abs(J).max())
                 worst_face = max(worst_face, dev)
@@ -123,7 +123,7 @@ def test_criterion_4_zero_weight_identity():
         s = load(fixture, "eta0")
         for a in seeded_samples(s, seed=4):
             for _f, ca, fe, m in face_states(s, a):
-                res = max(abs(r) for r in diagonal_identity_residuals(ca, fe, m))
+                res = max(abs(r) for r in diagonal_identity_residuals(ca, fe))
                 worst = max(worst, res)
                 assert res <= 1e-9
     report(4, f"zero-weight diagonal identity residual <= 1e-9 (worst {worst:.2e})")
@@ -135,12 +135,12 @@ def test_criterion_5_determinant_formula():
         for a in seeded_samples(s, seed=5, count=40, margin=1e-2):
             for _f, ca, fe, m in face_states(s, a):
                 det_fd = float(np.linalg.det(length_jacobian_fd(ca, fe)))
-                det = det_length_alpha_jacobian(ca, fe, m)
+                det = det_length_alpha_jacobian(ca, fe)
                 dev = abs(det - det_fd) / abs(det)
                 worst_dev = max(worst_dev, dev)
                 assert dev < 1e-6
                 assert det > 0.0
-                assert det >= det_lower_bound(ca, fe, m) - 1e-9
+                assert det >= det_lower_bound(ca, fe) - 1e-9
     report(
         5,
         "length-Jacobian determinant matches FD to 1e-6, positive, above "

@@ -290,12 +290,42 @@ def test_unreadable_file_exits_2(pants_path, factor_file, target_file, tmp_path,
     assert capsys.readouterr().err.startswith(f"error: cannot read {kind} file {paths[kind]}: ")
 
 
+# every option that writes a file: (command, option, the kind of file)
+WRITE_OPTIONS = [
+    ("curvature", "--out", "curvature"),
+    ("flow", "--trace", "trace"),
+    ("flow", "--out", "factor"),
+    ("solve", "--log", "log"),
+    ("solve", "--out", "factor"),
+    ("volume", "--out", "volume"),
+]
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command, option, kind", WRITE_OPTIONS,
+                         ids=[f"{c}{o}" for c, o, _ in WRITE_OPTIONS])
+def test_unwritable_output_exits_2(pants_path, factor_file, target_file, tmp_path, capsys,
+                                   command, option, kind, where):
+    alpha = [math.pi / 6] * 3
+    K = curvature(load_surface(pants_path), ConformalFactor(alpha)).K
+    inputs = {
+        "curvature": [pants_path, factor_file(alpha)],
+        "flow": [pants_path, factor_file(alpha), target_file(K.tolist())],
+        "solve": [pants_path, factor_file(alpha), target_file(K.tolist())],
+        "volume": ["--eta", "0", "0", "0", "--base", "0.5", "0.5", "0.5", "--grid-step", "0.5"],
+    }[command]
+    path = tmp_path / "missing" / "out" if where == "missing-dir" else tmp_path
+    assert main([command, *inputs, option, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {kind} file {path}: ")
+
+
 @pytest.mark.parametrize("kind, content, message", [
     ("factor", {"alpha": [[0.5], [0.5], [0.5]]}, "factor file {}: conformal factor must be a 1-d vector"),
     ("factor", {"u": [1e308, 0.5, 0.5]},
      "factor file {}: conformal factor components must lie in (0, pi/2)"),
     ("target", {"K": [1.0, 1.0]}, "target file {} has 2 components, surface has 3"),
-], ids=["factor-shape", "factor-u-range", "target-length"])
+    ("target", {"K": [[1.0, 1.0, 1.0]]}, "target file {} has shape (1, 3), surface has 3"),
+], ids=["factor-shape", "factor-u-range", "target-length", "target-shape"])
 def test_content_errors_name_the_file(pants_path, factor_file, target_file, tmp_path, capsys,
                                       kind, content, message):
     paths = {"factor": factor_file([math.pi / 6] * 3), "target": target_file([1.0] * 3)}
@@ -385,6 +415,10 @@ class TestJacobianCheck:
 
     def test_zero_samples_exit_2(self, pants_path):
         assert main(["jacobian-check", pants_path, "--samples", "0"]) == 2
+
+    def test_negative_seed_exits_2(self, pants_path, capsys):
+        assert main(["jacobian-check", pants_path, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
 
     @pytest.mark.parametrize("option", ["--h", "--margin"])
     def test_removed_options_are_usage_errors(self, pants_path, option):

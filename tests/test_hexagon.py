@@ -275,7 +275,7 @@ class TestFaceJacobian:
         assert math.cosh(m.l_ij) == pytest.approx(
             1.0 / (math.tan(alpha.a_i) * math.tan(alpha.a_j)), rel=1e-12
         )
-        J = face_jacobian_closed(alpha, eta, m)
+        J = face_jacobian_closed(alpha, eta)
         assert J[0, 0] == pytest.approx(
             J[0, 1] * math.cosh(m.l_ij) + J[0, 2] * math.cosh(m.l_ik), abs=1e-10
         )
@@ -316,9 +316,8 @@ class TestLengthJacobianDeterminant:
         assert eta.satisfies_structure_condition()
         for _ in range(100):
             alpha = random_admissible_alpha(rng, eta)
-            m = face_metric(alpha, eta)
-            det = det_length_alpha_jacobian(alpha, eta, m)
-            bound = det_lower_bound(alpha, eta, m)
+            det = det_length_alpha_jacobian(alpha, eta)
+            bound = det_lower_bound(alpha, eta)
             assert det > 0.0
             assert bound > 0.0
             assert det >= bound - 1e-9

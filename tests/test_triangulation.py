@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from hexflow import (
+    CornerAlpha,
     Edge,
     EtaOutOfRange,
     Face,
+    FaceEta,
     HexflowError,
     ParseError,
     Surface,
@@ -21,6 +23,7 @@ from hexflow import (
 )
 from hexflow.conformal import curvature_dump
 from hexflow.triangulation import STRUCTURE_LABELS
+from hexflow.volume import PyramidChart
 from conftest import fixture_path
 
 
@@ -491,6 +494,22 @@ def test_tuple_constructor_checks_shapes():
     s = Surface(3, [Edge(0, (True, 2), 0.0), *edges[1:]], faces + [Face(1, (False, 1, 2), (0, True, 2))])
     assert s.corners.tolist() == [[0, 1, 2], [0, 1, 2]]
     assert s.slot_edges.tolist() == [[0, 1, 2], [0, 1, 2]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load_surface(fixture_path("f2", "mixed")),
+    pair_of_pants,
+    lambda: PyramidChart(FaceEta(-0.5, 1.0, 1.0), CornerAlpha(0.25, 0.25, 0.25)).surface,
+], ids=["loaded", "tuples", "chart"])
+def test_surface_arrays_are_read_only(make):
+    # every evaluation on a surface shares its arrays
+    s = make()
+    pattern, slot = s.jacobian_pattern
+    for arr in (s.corners, s.etas, s.ends, s.edge_etas, s.slot_edges,
+                pattern.indptr, pattern.indices, slot):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
 
 
 def test_loaded_surface_builds_no_tuples(tmp_path):
