@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 input problem (parse/validation) or an output
 file that cannot be written, 3 inadmissible factor, 4 non-convergence
 (step budget or stall), 5 Jacobian not positive definite, 6 target not
-attainable.  Identical inputs and seed produce
-byte-identical outputs: reductions are ordered and floats are written in
-shortest round-trip decimal.
+attainable.  Identical inputs and seed produce byte-identical outputs:
+reductions are ordered and floats are written in shortest round-trip
+decimal.
 """
 
 from __future__ import annotations

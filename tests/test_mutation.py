@@ -69,7 +69,7 @@ def mutate(rng, doc, rounds=3):
 
 
 # the fields of a Surface that the array pass builds
-FIELDS = ("face_ids", "corners", "etas", "edge_ids", "ends", "edge_etas", "slot_edges")
+FIELDS = ("n_boundary", "face_ids", "corners", "etas", "edge_ids", "ends", "edge_etas", "slot_edges")
 
 
 def arrays_bytes(fields: dict):
