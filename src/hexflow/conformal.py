@@ -31,13 +31,10 @@ from .hexagon import CornerAlpha, FaceEta, central_difference, face_jacobian_cha
 from .jsonio import dump, load
 from .kernel import FaceValues, edge_margins, face_arcs, face_kernel
 from .quadrature import line_integral
-from .tolerances import ADMISSIBILITY_EPS, BATCH_FACE_EVALS, SAMPLE_MAX_TRIES
+from .tolerances import ADMISSIBILITY_EPS, BATCH_FACE_EVALS, DENSE_EIG_MAX_N, SAMPLE_MAX_TRIES
 from .triangulation import CsrPattern, Surface
 
 _HALF_PI = 0.5 * math.pi
-
-# Dense eigenvalue checks up to this size; iterative extremal estimates above.
-DENSE_EIG_MAX_N = 512
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 `load(path, kind)` reads a JSON document and raises ParseError naming the
 file when it cannot be read or decoded.  `write(path, text, kind)` is the
 one writer of every output file, JSON or CSV: it raises HexflowError
-naming the file when the file cannot be written.
+naming the file when the file cannot be written.  Both messages name the
+path once: an OSError contributes its strerror, not its text, which
+repeats the path.
 
 `dumps(obj)` returns exactly the text of `json.dumps(obj, indent=1)`, and
 `dump(obj, path, kind)` writes it with a final newline; dict keys must be
@@ -29,7 +31,7 @@ def load(path, kind: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
-        raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
+        raise ParseError(f"cannot read {kind} file {path}: {_reason(exc)}") from exc
 
 
 def dumps(obj) -> str:
@@ -43,7 +45,12 @@ def write(path, text: str, kind: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise HexflowError(f"cannot write {kind} file {path}: {exc}") from exc
+        raise HexflowError(f"cannot write {kind} file {path}: {_reason(exc)}") from exc
+
+
+def _reason(exc: Exception):
+    """Why a file could not be read or written, without its path."""
+    return getattr(exc, "strerror", None) or exc
 
 
 def dump(obj, path, kind: str) -> None:

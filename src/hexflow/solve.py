@@ -7,26 +7,32 @@ positive target Kbar:
     calabi      da/dt = -J (K - Kbar),        J = dK/da
     fractional  da/dt = -J^s (K - Kbar)
 
-Every step is one J^p r with r = K - Kbar: a flow's velocity is -J^p r with
-p = 0 (ricci), 1 (calabi) or s (fractional), and Newton's direction is
--J^-1 r.  One routine, `_spd_apply`, computes J^p r and owns the positive
-definiteness test: a Cholesky factorisation for p = 1 and p = -1, the
-symmetric eigendecomposition for any other p.  s = 0 and s = 1 reach the
+With r = K - Kbar, a flow's velocity is -J^p r with p = 0 (ricci), 1
+(calabi) or s (fractional), and Newton's direction is -J^-1 r.  One routine,
+`_spd_apply`, computes (I + h J^(p+1))^-1 J^p r and owns the positive
+definiteness test: a Cholesky factorisation of J for p in {0, 1, -1} (above
+DENSE_EIG_MAX_N, a diagonal dominance certificate and a sparse LU), the
+symmetric eigendecomposition for any other p.  At h = 0 it is J^p r: the
+flows' right-hand side and Newton's direction.  s = 0 and s = 1 reach the
 ricci and calabi arms, so those traces agree bit for bit.
 
-Time stepping is explicit Euler with two per-step guards: the proposed point
-must stay inside the open angle box with every edge margin at least
-STEP_MARGIN, and the quadratic curvature error must not increase.  Rejected
-steps shrink dt by STEP_SHRINK; STEP_GROW_AFTER accepted steps in a row grow
-it back, up to DT_CAP_FACTOR times dt0.  The Newton solver's line search is
-the same guarded step with an Armijo test in place of monotonicity.  The
-step-control constants live in `hexflow.tolerances`.
+Time stepping is linearly implicit (Rosenbrock) Euler,
+a <- a + dt v with v = -(I + dt J^(p+1))^-1 J^p r, which linearises the
+flow as da/dt = -J^(p+1) (a - a*) and is A-stable there: dt grows by
+1 / STEP_SHRINK after every accepted step, without a cap, and as dt grows
+the step tends to Newton's.  Every flow therefore reads J, and a ricci flow
+whose J is not positive definite ends with JacobianNotPD.  Each step has
+two guards: the proposed point must stay inside the open angle box with
+every edge margin at least STEP_MARGIN, and the quadratic curvature error
+must not increase.  A rejected step shrinks dt by STEP_SHRINK and solves
+again, as the implicit step is not linear in dt.  The Newton solver's line
+search is the same guarded step with an Armijo test in place of
+monotonicity.  The step-control constants live in `hexflow.tolerances`.
 
 Each trial that passes the guard's box and margin test is evaluated once,
-by one `curvature` call that also gives J where the method needs it; the
-accepted trial's K and J drive the next step.  The guard rejects without
-raising, and curvature keeps its own gate (ADMISSIBILITY_EPS) as the
-public entry's check.
+by one `curvature` call that also gives J; the accepted trial's K and J
+drive the next step.  The guard rejects without raising, and curvature
+keeps its own gate (ADMISSIBILITY_EPS) as the public entry's check.
 
 Flows and the Newton solver record one `RunLog` row per accepted step.
 Nothing in a flow reads the potential, so its trace keeps the accepted path
@@ -38,13 +44,18 @@ it as it goes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .conformal import (
     ConformalFactor,
+    GlobalJacobian,
     calabi_energy,
     curvature,
     default_base_point,
@@ -55,10 +66,9 @@ from .conformal import (
 from .errors import DomainError, JacobianNotPD, NotAttained
 from .tolerances import (
     ARMIJO,
-    DT_CAP_FACTOR,
+    DENSE_EIG_MAX_N,
     MULTISTART_TOL,
     STEP_FLOOR,
-    STEP_GROW_AFTER,
     STEP_MARGIN,
     STEP_SHRINK,
 )
@@ -155,49 +165,104 @@ def _flow_power(method: str, s: float) -> float:
         raise DomainError(f"unknown flow method {method!r}") from None
 
 
-def velocity(method: str, s: float, K, Kbar, J=None) -> np.ndarray:
-    """Right-hand side -J^p (K - Kbar) of the chosen flow at curvature K,
-    target Kbar: p is 0 for ricci, 1 for calabi and s for fractional, and
-    `_spd_apply` computes J^p (K - Kbar), so s = 0 and s = 1 take the ricci
-    and calabi arithmetic exactly."""
+def velocity(method: str, s: float, K, Kbar, J=None, dt: float = 0.0) -> np.ndarray:
+    """-(I + dt J^(p+1))^-1 J^p (K - Kbar) for the chosen flow at curvature
+    K, target Kbar: p is 0 for ricci, 1 for calabi and s for fractional.
+    At dt = 0 it is the flow's right-hand side -J^p (K - Kbar), and for
+    dt > 0 the linearly implicit Euler velocity of step dt.  `_spd_apply`
+    computes it, so s = 0 and s = 1 take the ricci and calabi arithmetic
+    exactly."""
     r = np.asarray(K, dtype=float) - np.asarray(Kbar, dtype=float)
-    return -_spd_apply(J, r, _flow_power(method, s))
+    return -_spd_apply(J, r, _flow_power(method, s), dt)
 
 
-def _spd_apply(J, r: np.ndarray, p: float) -> np.ndarray:
-    """J^p r for the curvature Jacobian J (a GlobalJacobian or an array),
-    which must be positive definite unless p == 0.
+def _spd_apply(J, r: np.ndarray, p: float, h: float = 0.0) -> np.ndarray:
+    """(I + h J^(p+1))^-1 J^p r for the curvature Jacobian J (a
+    GlobalJacobian or an array) and h >= 0; J must be positive definite
+    unless p == 0 and h == 0.  At h == 0 this is J^p r.
 
-    p == 0 returns r and reads no J.  p == 1 and p == -1 test definiteness
-    by a Cholesky factorisation and return J r or the solve J^-1 r; any
-    other p uses the eigendecomposition, J^p r = V w^p V^T r, and raises
-    DomainError when that is not finite (p too large for the eigenvalues of
-    J).  Every arm raises JacobianNotPD for an indefinite J, with the
-    minimum eigenvalue, which is computed only then.
+    p == 0 with h == 0 returns r and reads no J.  p in {0, 1, -1} tests
+    definiteness by a Cholesky factorisation of J and solves with Cholesky
+    factors; above DENSE_EIG_MAX_N a GlobalJacobian whose CSR matrix is
+    strictly diagonally dominant with a positive diagonal, and so positive
+    definite by Gershgorin's theorem, is solved with a sparse LU instead.
+    Any other p uses the eigendecomposition,
+    V (w^p / (1 + h w^(p+1))) V^T r, and raises DomainError when that is
+    not finite (p too large for the eigenvalues of J).  Every arm raises
+    JacobianNotPD for an indefinite J, with the minimum eigenvalue, which is
+    computed only then.  The shift is applied as (I/h + J^(p+1))^-1 / h, so
+    no entry overflows for a huge h.
     """
-    if p == 0:
+    if p == 0 and h == 0:
         return r
     if J is None:
         raise DomainError(f"J^p r with p = {p!r} needs the curvature Jacobian")
-    A = J if isinstance(J, np.ndarray) else J.dense()
+    n = r.shape[0]
+    if p in (0, 1, -1):
+        if n > DENSE_EIG_MAX_N and isinstance(J, GlobalJacobian) and _diagonally_dominant(J.matrix):
+            # positive definite by Gershgorin: no factorisation tests it
+            A, eye, solver = J.matrix, sp.identity(n, format="csr"), _lu_solver
+            solve = _lu_solver(A) if p == -1 else None
+        else:
+            A, eye, solver = _dense(J), np.eye(n), _cholesky_solver
+            solve = _cholesky_solver(A)  # the definiteness test
+        v = solve(r) if p == -1 else A @ r if p == 1 else r
+        if h == 0:
+            return v
+        if p == -1:  # J^(p+1) = I
+            return v / (1.0 + h)
+        return solver(eye / h + (A if p == 0 else A @ A))(v) / h
+    A = _dense(J)
     try:
-        if p == 1 or p == -1:
-            L = np.linalg.cholesky(A)
-            return A @ r if p == 1 else np.linalg.solve(L.T, np.linalg.solve(L, r))
         w, V = np.linalg.eigh(A)
         if w[0] <= 0.0:
             raise np.linalg.LinAlgError  # handled below like a failed factorisation
     except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(A)[0])
-        raise JacobianNotPD(
-            f"curvature Jacobian not positive definite, min eigenvalue {min_eig:.3e}",
-            min_eigenvalue=min_eig,
-        ) from None
+        raise _not_pd(A) from None
     with np.errstate(all="ignore"):  # w**p may overflow; the product is tested instead
-        v = (V * w**p) @ (V.T @ r)
+        if h == 0:
+            v = (V * w**p) @ (V.T @ r)
+        else:
+            v = (V * (w**p / (1.0 / h + w ** (p + 1)))) @ (V.T @ r) / h
     if not np.isfinite(v).all():
         raise DomainError(f"fractional order s = {p!r}: J^s (K - Kbar) is not finite")
     return v
+
+
+def _dense(J) -> np.ndarray:
+    return J if isinstance(J, np.ndarray) else J.dense()
+
+
+def _not_pd(A: np.ndarray) -> JacobianNotPD:
+    min_eig = float(np.linalg.eigvalsh(A)[0])
+    return JacobianNotPD(
+        f"curvature Jacobian not positive definite, min eigenvalue {min_eig:.3e}",
+        min_eigenvalue=min_eig,
+    )
+
+
+def _cholesky_solver(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> A^-1 x by a Cholesky factorisation of the dense symmetric A;
+    raises JacobianNotPD unless A is positive definite."""
+    try:
+        factor = scipy.linalg.cho_factor(A, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise _not_pd(A) from None
+    return lambda x: scipy.linalg.cho_solve(factor, x, check_finite=False)
+
+
+def _lu_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> A^-1 x by a sparse LU factorisation of the nonsingular A."""
+    return splu(sp.csc_matrix(A)).solve
+
+
+def _diagonally_dominant(M: sp.csr_matrix) -> bool:
+    """Whether every row of the CSR matrix M has a positive diagonal entry
+    larger than the sum of its off-diagonal magnitudes: for a symmetric M,
+    a certificate (Gershgorin) that M is positive definite, in O(nnz)."""
+    diag = M.diagonal()
+    off = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
+    return bool(np.all((diag > 0.0) & (diag > off)))
 
 
 def _target(s: Surface, Kbar) -> np.ndarray:
@@ -209,17 +274,19 @@ def _target(s: Surface, Kbar) -> np.ndarray:
     return Kbar
 
 
-def _guarded_step(s: Surface, alpha: np.ndarray, d: np.ndarray, step: float, accept):
-    """Shrink step by STEP_SHRINK until alpha + step * d lies in the open
+def _guarded_step(s: Surface, alpha: np.ndarray, move, step: float, accept):
+    """Shrink step by STEP_SHRINK until alpha + move(step) lies in the open
     angle box, keeps every edge margin at least STEP_MARGIN and passes
     accept(trial, step), which returns None to reject the trial or the value
-    to keep.  accept sees only trials that passed both guards.
+    to keep.  accept sees only trials that passed both guards; move is
+    called once per trial, as a flow's implicit step is not linear in the
+    step.
 
     Returns (trial, step, margin, value), or None once step drops below
-    STEP_FLOOR.
+    STEP_FLOOR or is not finite.
     """
-    while step >= STEP_FLOOR:
-        trial = alpha + step * d
+    while STEP_FLOOR <= step < math.inf:
+        trial = alpha + move(step)
         margin = factor_margin(s, trial)  # -inf outside the box
         if margin >= STEP_MARGIN:
             value = accept(trial, step)
@@ -232,12 +299,13 @@ def _guarded_step(s: Surface, alpha: np.ndarray, d: np.ndarray, step: float, acc
 def run_flow(
     s: Surface, a0: ConformalFactor, Kbar, cfg: FlowConfig
 ) -> tuple[ConformalFactor, RunLog]:
-    """Integrate the configured flow from a0 toward curvature Kbar.
+    """Integrate the configured flow from a0 toward curvature Kbar by
+    linearly implicit Euler steps.
 
     Dynamics never raise: the trace records a terminal status of Converged,
-    MaxSteps, StalledStep (dt underflow, or J^s (K - Kbar) not finite after
-    the first step) or JacobianNotPD.  Malformed inputs (inadmissible a0,
-    Kbar not finite and positive, a fractional order s so large that
+    MaxSteps, StalledStep (dt underflow, or a step that is not finite after
+    the first) or JacobianNotPD.  Malformed inputs (inadmissible a0, Kbar
+    not finite and positive, a fractional order s so large that
     J^s (K - Kbar) is not finite at a0) do raise.
 
     Nothing in the dynamics reads the potential, so the trace's potential
@@ -249,9 +317,8 @@ def run_flow(
     Kbar = _target(s, Kbar)
     trace = RunLog(TRACE_COLUMNS, structure_condition=structure_condition_holds(s))
 
-    needs_jacobian = _flow_power(cfg.method, cfg.s) != 0
     alpha = a0.alpha.copy()
-    c = curvature(s, ConformalFactor(alpha), needs_jacobian)  # raises if a0 inadmissible
+    c = curvature(s, ConformalFactor(alpha), jacobian=True)  # raises if a0 inadmissible
     resid = float(np.max(np.abs(c.K - Kbar)))
     cal = calabi_energy(c.K, Kbar)
     path = [alpha]
@@ -264,19 +331,20 @@ def run_flow(
         return ConformalFactor(alpha), trace
 
     dt = float(cfg.dt0)  # a float, so the trace writes it as one
-    dt_cap = cfg.dt0 * DT_CAP_FACTOR
     t = 0.0
-    accepted_run = 0
 
-    # reads cal when called, so it compares with the current point
+    # read c and cal when called, so they step from the current point
+    def move(h):
+        return h * velocity(cfg.method, cfg.s, c.K, Kbar, c.jacobian, h)
+
     def monotone(trial, _):
-        c_trial = curvature(s, ConformalFactor(trial), needs_jacobian)
+        c_trial = curvature(s, ConformalFactor(trial), jacobian=True)
         cal_trial = calabi_energy(c_trial.K, Kbar)
         return None if cal_trial > cal else (c_trial, cal_trial)
 
     for step in range(1, cfg.max_steps + 1):
         try:
-            v = velocity(cfg.method, cfg.s, c.K, Kbar, c.jacobian)
+            guarded = _guarded_step(s, alpha, move, dt, monotone)
         except JacobianNotPD:
             trace.status = JACOBIAN_NOT_PD
             return ConformalFactor(alpha), trace
@@ -285,17 +353,10 @@ def run_flow(
                 raise
             trace.status = STALLED_STEP
             return ConformalFactor(alpha), trace
-
-        guarded = _guarded_step(s, alpha, v, dt, monotone)
         if guarded is None:
             trace.status = STALLED_STEP
             return ConformalFactor(alpha), trace
-        trial, accepted_dt, margin, (c, cal) = guarded
-        if accepted_dt < dt:
-            accepted_run = 0
-        dt = accepted_dt
-
-        alpha = trial
+        alpha, dt, margin, (c, cal) = guarded
         path.append(alpha)
         t += dt
         resid = float(np.max(np.abs(c.K - Kbar)))
@@ -304,11 +365,7 @@ def run_flow(
         if resid <= cfg.tol:
             trace.status = CONVERGED
             return ConformalFactor(alpha), trace
-
-        accepted_run += 1
-        if accepted_run >= STEP_GROW_AFTER:
-            dt = min(dt / STEP_SHRINK, dt_cap)
-            accepted_run = 0
+        dt = min(dt / STEP_SHRINK, sys.float_info.max)
 
     trace.status = MAX_STEPS
     return ConformalFactor(alpha), trace
@@ -407,7 +464,7 @@ def solve_prescribed(
             d, fallback = -grad, True
 
         slope = float(grad @ d)
-        guarded = _guarded_step(s, alpha, d, 1.0, armijo)
+        guarded = _guarded_step(s, alpha, lambda lam: lam * d, 1.0, armijo)
         if guarded is None:
             log.status = NOT_ATTAINED
             raise NotAttained(

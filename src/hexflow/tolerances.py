@@ -39,13 +39,17 @@ BATCH_FACE_EVALS = 2048
 # length).  A trial step is shrunk by STEP_SHRINK until it stays inside the
 # open angle box with every edge margin at least STEP_MARGIN and passes the
 # caller's test (monotone Calabi energy for flows, the Armijo condition with
-# constant ARMIJO for Newton); below STEP_FLOOR the step has stalled.
+# constant ARMIJO for Newton); below STEP_FLOOR the step has stalled.  The
+# flows' linearly implicit Euler step is A-stable, so dt has no cap: it
+# grows by 1 / STEP_SHRINK after every accepted step (and stays finite).
 STEP_SHRINK = 0.5
 STEP_MARGIN = 1e-9
 STEP_FLOOR = 1e-14
 ARMIJO = 1e-4
 
-# Flows grow dt by 1 / STEP_SHRINK after STEP_GROW_AFTER accepted steps in a
-# row, up to DT_CAP_FACTOR times the initial dt.
-STEP_GROW_AFTER = 5
-DT_CAP_FACTOR = 10.0
+# Largest n for which the linear algebra of J is dense.  Above it,
+# `GlobalJacobian.min_eigenvalue` is an iterative extremal estimate, and
+# the p = 0, 1 and -1 arms of `solve._spd_apply` solve with a sparse LU of
+# the CSR matrix once strict diagonal dominance certifies that J is
+# positive definite (the dense arms serve a J that fails the certificate).
+DENSE_EIG_MAX_N = 512

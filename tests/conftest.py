@@ -1,3 +1,4 @@
+import importlib.util
 import math
 from pathlib import Path
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from hexflow import ConformalFactor, default_base_point, load_surface
+from hexflow.triangulation import _parse_surface_dict
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 SURFACE_FILES = {
     ("f1", "eta0"): "f1_pants_eta0.json",
@@ -26,6 +29,14 @@ def fixture_path(fixture: str, profile: str) -> Path:
 
 def load(fixture: str, profile: str):
     return load_surface(fixture_path(fixture, profile))
+
+
+def torus(m: int):
+    """The benchmark's m x m torus grid (n = m^2) in the mixed profile."""
+    spec = importlib.util.spec_from_file_location("torus", ROOT / "benchmarks" / "torus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return _parse_surface_dict(module.torus_grid(m, "mixed"), strict=True)
 
 
 @pytest.fixture(scope="session")

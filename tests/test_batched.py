@@ -3,11 +3,9 @@ replaced, the flow trace's pending potential column, the batched
 `hexflow volume` grid against its per-point loop, and the Jacobian's CSR
 data view."""
 
-import importlib.util
 import json
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,10 +33,7 @@ from hexflow.cli import main
 from hexflow.conformal import _check_factors, _faces, _segment_curvature_integral
 from hexflow.solve import FlowConfig, run_flow
 from hexflow.tolerances import QUAD_INIT_NODES, QUAD_MAX_NODES, QUAD_REL_TOL
-from hexflow.triangulation import _parse_surface_dict
-from conftest import PROFILES, fixture_path, load, reference_factor
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import PROFILES, fixture_path, load, reference_factor, torus
 
 
 # One segment at a time, as the integral was evaluated before it was
@@ -359,13 +354,6 @@ def test_volume_csv_equals_per_point_loop(tmp_path, eta, base, step):
 
 
 # The curvature Jacobian as CSR data on the surface's pattern.
-
-
-def torus(m):
-    spec = importlib.util.spec_from_file_location("torus", ROOT / "benchmarks" / "torus.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return _parse_surface_dict(module.torus_grid(m, "mixed"), strict=True)
 
 
 def surfaces():

@@ -319,6 +319,17 @@ def test_unwritable_output_exits_2(pants_path, factor_file, target_file, tmp_pat
     assert capsys.readouterr().err.startswith(f"error: cannot write {kind} file {path}: ")
 
 
+def test_file_errors_name_the_path_once(pants_path, factor_file, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert main(["curvature", pants_path, factor_file([math.pi / 6] * 3), "--out", str(path)]) == 2
+    assert main(["validate", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(f" {path}: ")[0] for line in lines] == [
+        "error: cannot write curvature file", "error: cannot read surface file"
+    ]
+    assert all(line.count(str(path)) == 1 for line in lines)
+
+
 @pytest.mark.parametrize("kind, content, message", [
     ("factor", {"alpha": [[0.5], [0.5], [0.5]]}, "factor file {}: conformal factor must be a 1-d vector"),
     ("factor", {"u": [1e308, 0.5, 0.5]},
@@ -617,24 +628,24 @@ RUN_OPTIONS = {
 # K(a*), a* = base * 1.075.
 RUN_SHA256 = {
     ("f1_pants_eta0", "ricci"): (
-        "5484b77b1da18a53e523f5a1eb74398a6882ebc569e5ec5e7b369cc79a993997",
-        "f46c7bf49452fd45aad3b5f4c04959113d1e9917833cc0eb9f072c43b46f3ca4",
-        "e3ed3f8207a8f06b8e3735c9e8c9563ab04a55982e52f90f542361a403b5a5da",
+        "fee27b1c45a386052efc5ec53748b6a56e68caaa9ea3b330ac0f3af37344705f",
+        "dfd69f4453c6658583ffd77429779100e4faaaa5206cdaa7abf80b64d08d468b",
+        "8cfeed326fee851f45cd838a3156aca3dbf10d186aec028ab8f33b38c6bae8ea",
     ),
     ("f1_pants_eta0", "calabi"): (
-        "9add9b13baa77c2c8288a383279e075f2b41cf6b529ee8c5e5c1be0e5b8bee93",
-        "8f4f5e1737147d5ccfb51af15d769e5db696fba518fe838fba25767e54adb859",
-        "b8c94fbe28f8f623e4188e84df1fa85dfbf0378dc2f5b2bf4cf04330c8dfaff2",
+        "55557959ee3314efa343bacc2868c07bce85cc62688ac84094ea4989abd4ade5",
+        "f442af6387431bf69e839264063fbfbb4f863faf4a087114658671d7683edda1",
+        "c5b17550b43a9394655950735ea0a9b47ce9c797696c15641116f65e78d1f0c5",
     ),
     ("f1_pants_eta0", "fractional_0.5"): (
-        "4cf94963180b7bf48fac61e6dcf3dc7805df8468f6b8bf9db0f698f16748f796",
-        "9f78aa5b971b9bd767f5d6c1828417142a21b58c8ad83f8092d234e076b071d3",
-        "5583990ea7572ef70964c4a24f72d2557372e89003355293d3f1712092880a31",
+        "753e7c84a3e1d59291cdc1461d97e6f6070c12717e4c588d571ed0e5cbc9cf44",
+        "f5ddf9303e544ac5586bbc7c5ec42a1ff5ece25bebe8b1a23ea21ed22fe9aac0",
+        "2d498949fdbd9a937540cc0ebfd3a6ecee41c7932340da87691b6f1cc510e191",
     ),
     ("f1_pants_eta0", "fractional_2"): (
-        "c705ea5f33615039ec70fb17ab5ba1641aec04d0603061e19d837ffe012cf098",
-        "d7c8ed64f8e8be7f27ddef03c590bde7471ad8f25328d910470cc4167fe9acf5",
-        "79faf83d15ffdf2d56e1adf07a7c0546964a645d9ede4f1bbf17b0e400b25e51",
+        "f6b99e6d7d2870eb319da2072a90552386444ee5ca8cf0da2105e6e7dae711d7",
+        "35af391bd61673760697d833b60153f49fd75691f772863a9e50d451f40427f9",
+        "3f1bd933b53df2c4dd707729ae995d78533cbb27182fafa65db39f0f54b4f109",
     ),
     ("f1_pants_eta0", "solve"): (
         "c038470a3d69d24bdefdd785d608755ad99009b72e551cb403dabc0954322096",
@@ -642,24 +653,24 @@ RUN_SHA256 = {
         "b6b74796894cd0b322fbe1cd30f7b3b52febd5c14b3903ac38cc9d86fb82f1d4",
     ),
     ("f1_pants_eta15", "ricci"): (
-        "64141c6e58b3094b3aab2b6fabd00e2be8e28fefa537ae5fd13ab0912e7fe266",
-        "e20bcb92f5f2757b5c8a3fd7124f9242c0758c083cc666aa1a0a99c255ab7d7c",
-        "f09f4e785b013f02e37e217d08290c78c72cd797afcaad44e7e9c703138b1008",
+        "6c47ecb0e8caf8efacad71539ee74618d3e1a9bf0e112c2fe725ec8a18d3c65f",
+        "cd4c0dcbb630d165c43d89003d1f9c7dbf19733c0d73a51331b6eed27c15bce4",
+        "8aad01482733fdcc9d0274a1fa0aef726d71beb57d5aabdbb3b59dcd62df719e",
     ),
     ("f1_pants_eta15", "calabi"): (
-        "fb4374289d67798cefaad68a7c32d2d003e6f1532cadfaf56c7f1b5273ddc514",
-        "517a0123d33576d8ac743370e54298402e640655a39a2ad000624d5d30d05dcc",
-        "297d24ca24f21b165f99b19c3031cc67c8cfd924e7bda4fe3ae144d8e8326ec9",
+        "80f0e0413984dba9db420e68bc53efc4d7148bc7b5a6ae14b0d5cf2cdcdaceb7",
+        "166914ec506fa30eb995b6e1f360993a6eb0261db4d32669fcec6c50fa7de0ee",
+        "dbd2cf1852845d2caa2b50b266343efca8b67af6243d22e5feb300c7bc3832ac",
     ),
     ("f1_pants_eta15", "fractional_0.5"): (
-        "d1be40d9a4a6db5080d1b9bc6cb55bed7b3104858a46d8ef44c354013226b3ff",
-        "7b570c8172f845ed066f5cf96e9afbe91facfcbe0888465c73dbe962f587f008",
-        "f3392facb10ed9e6c47059eec1d1efdf4ac655e3410ec4096d064cdd5cca8b9f",
+        "b227ad04980746b46382a9aac17eba82aaa7463ddefc6e95e60502b386478611",
+        "42afad1ef0206bc961274e1e6836af9563f5ca2d4fc9fec93eed840b5977df71",
+        "326c1ed2530cbcea48d837a11143d23bbd2f2823435dad2a2fa8cfde6d2ea393",
     ),
     ("f1_pants_eta15", "fractional_2"): (
-        "f37c7c4d87342ddad47e2d8a84e5ea11652f6679a0b631a7aa62c1cf4694d550",
-        "95ec9355bfc757d155a23f558ff5f627b103a0b4a60e108ff4784a0eee9b0cf6",
-        "906cc10885e399c521ab43d17df4799a24b9032c5cc894ea8d2d31e903ba2f28",
+        "79c2d2d4a3466a42596ff56d40efccd9c66250ecf3af309dda32216adb33a3a0",
+        "8e59201d5c3b0e9afc4b9dc8120f258d4f20fe163a17477c578a9edb098c17f0",
+        "95cc0c99454a2a81620e0c3f5572111e8b8acdef670a7ba43c7c543755be6572",
     ),
     ("f1_pants_eta15", "solve"): (
         "3169b01d573bddad24976c9ac6a06a18559911b44620fc8978a19db39471aa89",
@@ -667,24 +678,24 @@ RUN_SHA256 = {
         "4fccfc6e319eb0b10d81a31bbb680e894b19ebccc3c98ce8a3a8ae657a9da999",
     ),
     ("f1_pants_mixed", "ricci"): (
-        "6d4bf828b6ddf7e778d9e9d96fe9006854f2ffc682a0f2291bca4a75cd823b14",
-        "1f70e60213efe329c1ece32fa6f2d30bcd15b2e98e87b953b518377ece8bd709",
-        "55e3ddd96f5578089e2a55fcba2f434d80c5b39f14e022d0f6240174ca2b7c66",
+        "303a3d73033dd312c2c2f19682c0f72aa87badc4a29f6ca8dc64ede7bd475de2",
+        "0aee4118a06700b320c91275b82b397d31594f0e8bdee3bf9143d1732c9d4fe9",
+        "3e77032878e304aa54394b583285b262a012a9009c372c9647f278f28b6bef4c",
     ),
     ("f1_pants_mixed", "calabi"): (
-        "41d0e6653403dab7dbd7c46589cffd7ce683e97acc55487abd1813ae57906df7",
-        "ae90371b415f3b23e122364fbc8c084c9622b65d5687ec82d51b67898b7e3ab1",
-        "550e321607df6e0940a02f643f503fd3aa1e3e0ecd0fc2d5ee0f0312e868ee64",
+        "fe8bd33b1e9874ac1364e881686a207b0e8df3025526c3008084452fa01f4875",
+        "bfb17698105c0a7ca8179833f80a3edf968f6c1bb1a140fe5bf3403d5cd68db1",
+        "cb7208caafb615eb7240e53a75a88834a949aa3365db62fc1f5741ae898a5a5b",
     ),
     ("f1_pants_mixed", "fractional_0.5"): (
-        "3ff7955915a64020fc9535f02824a326f2b01625a7ad9c5500f85c3c4057462f",
-        "56d4a75b54bb756cc46075ce32472dd58a9be9d725e228516e8257f3b3e3cca0",
-        "19f02660a40e376fe287823579938f19166e0ad359e38a0a6157b5da986c0146",
+        "7732f000ad23851c039eb3652a6d8b8f7accf0044343709e121e1532047cd453",
+        "72369e59c566967237739b7507468c8661cb292bc238675c453d8870b8315039",
+        "af1c31f6a9d7fd856f92e98eb064a03262797d30398d28444eaa6a42fbe46a2d",
     ),
     ("f1_pants_mixed", "fractional_2"): (
-        "7b6c171cb51b6252009901a53b49a39465232a2fec0ad08725cea54353350833",
-        "c64291f4797840335b1e95360a3f18f7379dc2e4c5ea19ee965ffc163f5940b3",
-        "195bdf0931d48c0b0501d64d3bf6a42d7421ebd4d7ab74f8fc525b01d1afa0c9",
+        "8d54c42c45c3610fe771bf4e3be4898439636bdb5b925b1b3dacd9855f1e2dcb",
+        "097cd00053f9145e35cc55f6ff31022497f742142943a6f0df8733ac6de93895",
+        "2a86434a1f058242f693f851e68788808ddfd17640676925602ec9f9eca1ca3e",
     ),
     ("f1_pants_mixed", "solve"): (
         "471dc1cb51d14b9e771f490032c88621cc5eb62ee444b10f3fb9c833662b5b33",
@@ -692,24 +703,24 @@ RUN_SHA256 = {
         "1a211c189a74e6a89ea37b2cd6c586515e63a03649a49c64ccfd52fdb1c2ba1c",
     ),
     ("f2_sixhex_eta0", "ricci"): (
-        "fa4e19a773e4fddad900000cc7ce65152d83b7d586c562c47846014d56d13c49",
-        "950b26dc67205d09f460c46c9218b6900f3ac4d4ecab76a2b1a4fa19bfe5721e",
-        "75320f2933ed7175ba2b511f0ab5983483cec5c27f4ba81e7717fc753ca71804",
+        "a013bee5191bce95ec6613e001d6f2a278dea988735513245b1651e8b8b5b9c4",
+        "76a4b3452bd3a27e54f00256d4e36d16aa39321d310b06010e4b01b934ee021b",
+        "0d435645a71d8b20bf3fbb1801ec59189b83716487878dcaccc378c00ebebc70",
     ),
     ("f2_sixhex_eta0", "calabi"): (
-        "d5c03d42f36eeb547cf2efeafa01402fc2b49ea7e0cfc7751d9373b53b044def",
-        "83c699814b0e748acf862acdb59c77dcda7c65205922882c82fa8f151083394f",
-        "aa8de806ff4fc2b4ab10bf3d213b14783d429e8ab4c65e8b6c6c113dc46051c8",
+        "a114878c6447c8bfb1b32c1837f4ec78bf71d6fa4a38b10ccd4f5db0d08181e7",
+        "7f401ded3bde100eddc47954892b7069256322b4570abd6fe9dc509bbf70f668",
+        "ceb2760504288177bc62ab9e167cd3953251c157ed1d2551dfe535f6f866f12f",
     ),
     ("f2_sixhex_eta0", "fractional_0.5"): (
-        "80cca6407f9dc0378e44c905cf3dbd0c5c158f497455ae5f5397b5b1fd323046",
-        "e2bfd1e7fd7fa50b7fc2dfd3c253f34073f8632b5cd8bf13298b6d52cf866187",
-        "13a78c44da2d9b1c95a27d4807276f56d21eab674f7f25ffe96d8c40da53a351",
+        "900577e9467a61de6a598caaca27bfb87b33bb5fe37a5c48cb7de3bb91da6750",
+        "13d5dbb09f88bcd236ec92d043fed375cd4aa5af8869901f8410358cb0a08fcc",
+        "5c99a923196705b3c8b171f2a2f8b6a96157b0c3e6ee7a359564701092111554",
     ),
     ("f2_sixhex_eta0", "fractional_2"): (
-        "434e0477a3d00f8949ad143775353ac984de4b8b7a554a69b61319548fa4915f",
-        "0fa2bfd597f6b6e205fc32b076ec8578850130724d9d0beae1726343f98e55d7",
-        "9e663749b4195d03d407ef3ce459b0fcca17cae3c023a548a89f5f2edd185dd3",
+        "bf0360002fad6bfccb2378ebb3f6f4a05485763af1d49af69a4d9b3884223c87",
+        "123c492e750b0bdbab23c9ba7334d473f9a63fbea035c6f986cb0ded057cfb02",
+        "890de53182ab7115c7ff616bb750b67a175cc1837d4a50d36e6d8f324969a48c",
     ),
     ("f2_sixhex_eta0", "solve"): (
         "3d7b84adb6966865f4c9d245abfc1db1e3bce1afd9aa108416ac4e441a4377c2",
@@ -717,24 +728,24 @@ RUN_SHA256 = {
         "f3c326f638e54fa899fb65db317d2224b54a2ffe8208bac96de17ea5e44a3e43",
     ),
     ("f2_sixhex_eta15", "ricci"): (
-        "8fe4b920e5c95ddbcb7ec6159ec7f359f276eac6d3caba024167a2ec64372913",
-        "0b30b03a9e339125abaa1fd760a4ff30ba0f73e589f2ab2b70ad885fa14d8867",
-        "c9fdef46616c9aca01a96bce6887a326c0178416ffaee8c15ef962b88ad74b07",
+        "76b7712e2ec4418871f68666bb1412413895938685025b4e2204b95d6cb2638b",
+        "666201e6f115c4c2396b31048430da6e3be59745df5f36d47f229de8262c6028",
+        "170718f9c8fd1bec7550ed115d760ae00cc2724a54c78e583b7b6e6d1088e263",
     ),
     ("f2_sixhex_eta15", "calabi"): (
-        "9e6fae3ee02c69fe8cd164560f9d75059ea0a1f2b0b0ad042617c9b6bb24fe8b",
-        "c958728ca281a7c3a60f5c47bb99632ad5376ca7e6e7cae25a0d89ace432f5e5",
-        "0bff7d8e23262de6c77774e291d1bbc30688ccb6c71d4b4256526471698fe695",
+        "08db446a230e5a2c41464c0e3cd39122fc577f8dd9bfac3f2c606e3c6c7e122d",
+        "40ae0fc3e8ee4f2940feed2420b0df102be8bf6f6fd9de09e679a0bcea3fa376",
+        "fa260d1ac9aecf69b4cda4c929fe2df834db01a83e8ca8e7c03da807c3f46534",
     ),
     ("f2_sixhex_eta15", "fractional_0.5"): (
-        "a958f30c97893808756004697cb25048d1e9018babc306e90450c1315180c30c",
-        "6be4d4cd9a012814bc243000d17a6aff952d96d602fe5e9fbe4e0415c794ba2e",
-        "18555a0dd65b6765cf4b3057d637466629967f6b17ef57c8f871cdf8b553703f",
+        "fe645e50f2e3dacf001298dc55de81926f845333a05fd591d945f835b0c6037a",
+        "18f041c582438e1aa4cb2809380e56a9b4268ff5751226da68934f3fd380ad49",
+        "bd529c9c654045a642bd7a846f158ed9103c7a01227ec0bd539a93b016ead7f6",
     ),
     ("f2_sixhex_eta15", "fractional_2"): (
-        "b3920cbeceeea64e25828501ffeafc487bec3d54721ecd1dba446f5b4ba0ab51",
-        "3a12af851672572b9384efb07ffb9783763fa3fb903defbabbf6f59af402025a",
-        "4588d3b29f935ceb95ac485863eb312d1158f14b64206791c5c55dd7a7a741b0",
+        "84afddf921cea7c96377a01f2f1fa6e49b5816a3d3481fab3f5e389a83df64d8",
+        "8d9173fa6e9f2329bc897dabefcf91132e7568a89d6a06ff5cf753551d246c10",
+        "5b8fd781a613511fb078ebdbe1a70ffe6768bbeb3e872ad42558e6973c9b1bb9",
     ),
     ("f2_sixhex_eta15", "solve"): (
         "5698a6fdf87c6efbbe302def5df4469a7a73c52d4d22ffae8b10063bd42d0a07",
@@ -742,24 +753,24 @@ RUN_SHA256 = {
         "4fccfc6e319eb0b10d81a31bbb680e894b19ebccc3c98ce8a3a8ae657a9da999",
     ),
     ("f2_sixhex_mixed", "ricci"): (
-        "d8d663e0a72308a6ae701dfd1a1af0df3caaca5ec946e1e76a92aaacad126722",
-        "0c9a0c7cc05742458e22fc272fb2aa2977db9d27a68756b9890bcf5ca1e0de91",
-        "859af8a04b6807aaf3f7c84274e6b93d8f79d5a338cf7bbfe4d243bca495bee7",
+        "923a3db4eef1937220477d7e3e3ff4cccc3025f904ce5b954149b805d97287c0",
+        "6a3ff69162403f16ea72bf9c5de4f21ed7de7d54a76812ac7a40508eae2e9bf1",
+        "cbe01567427aa0e7908171ca047b80b7c46ca3fc269f683372c088cabd5ea927",
     ),
     ("f2_sixhex_mixed", "calabi"): (
-        "b49d5f60df2ff8af7c250a8fecf202dbaae0ef4787bca50433f67084f8ba95f1",
-        "714828fbe2ad4400a2f6601d428f239a88038bf31d0f19c52116a09b6581e4a2",
-        "ee147c795af218d231343873cdeb7bb74b02a813460ef905cd1386c90a9c8d98",
+        "ae93f3bd2ad1a1ae1888f125c85c988c677aafdf59d32c368be19ca1f281a7ed",
+        "0b29ad609da09522197f1788432fe0159e340bc350995d869b5c13210026a123",
+        "339df0c17da39bd4a02afb41a0bca5702a7d644513df374a7b87ae1e6016862f",
     ),
     ("f2_sixhex_mixed", "fractional_0.5"): (
-        "58cc4b841bf4a3bde2033070e8d3c6c0541e6949f7adeb578e5dd4b06f306813",
-        "e111f69ec4f5b0aeef789eb196e868c0aef4e9d02887af98019e281473f60c86",
-        "df813c9c3f179ce9ad6c998b26aa05878abfacf96e0a863477aa28e9afa69c60",
+        "531e5aeba9b1f7ff4e0ff3c7509ffb90485b151d7fe71ba7622436ecf9473d19",
+        "617c6e0408c209e4809001529025ef74ae5f1839fc2ec49e4090ae1a73bcbaba",
+        "cc9153a032ca4c78bc549955d9a800e25e218612dd750c22a930e8d3e6c40fff",
     ),
     ("f2_sixhex_mixed", "fractional_2"): (
-        "43a08b97b1e663aa53bbd47d9cadbac9f0ec180fe33bbd5b3e35705fcb16a578",
-        "fdfcbf12d021a71ff56543856e48923fabc04eaee4a1206030e6aeb8938d04df",
-        "a43759b2d3b0a87f3e30764f58910e8cfb338391403d8d61266e835941047fea",
+        "a7a79d8fe4a0e77cc3c3deeccd0fce894e5f34b6b14b195982d4b4867473ae50",
+        "e1321ab9b54fe0764bb96aa9558a2c4986083af0c313b3013b98195421c421e8",
+        "7198904973c4529ba608704a7540005cf83e3bf509aa71ef7c9e0f42dac03054",
     ),
     ("f2_sixhex_mixed", "solve"): (
         "c3a6e6d61ce7ca0e3cc451f3bacc024b9bb8fc2ff3fe0e5c7909b7a6d0a0cdc7",

@@ -266,7 +266,8 @@ class TestGlobalJacobian:
         # iterative extremal estimate; check it against a known spectrum
         import scipy.sparse as sp
 
-        from hexflow.conformal import DENSE_EIG_MAX_N, GlobalJacobian
+        from hexflow.conformal import GlobalJacobian
+        from hexflow.tolerances import DENSE_EIG_MAX_N
         from hexflow.triangulation import CsrPattern
 
         n = DENSE_EIG_MAX_N + 64

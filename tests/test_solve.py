@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 from collections import Counter
@@ -6,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from hexflow import (
     ConformalFactor,
@@ -28,9 +30,19 @@ from hexflow import (
 )
 import hexflow.conformal
 import hexflow.solve
-from hexflow.solve import CONVERGED, MAX_ITERS, MAX_STEPS, STALLED_STEP, _guarded_step, _spd_apply
-from hexflow.tolerances import STEP_FLOOR, STEP_MARGIN
-from conftest import PROFILES, load, reference_factor
+from hexflow.conformal import GlobalJacobian
+from hexflow.solve import (
+    CONVERGED,
+    MAX_ITERS,
+    MAX_STEPS,
+    STALLED_STEP,
+    _diagonally_dominant,
+    _guarded_step,
+    _spd_apply,
+)
+from hexflow.tolerances import DENSE_EIG_MAX_N, STEP_FLOOR, STEP_MARGIN
+from hexflow.triangulation import CsrPattern
+from conftest import PROFILES, SURFACE_FILES, load, reference_factor, torus
 
 
 def round_trip_problem(s, spread=0.02):
@@ -87,6 +99,84 @@ class TestSpdApply:
         with pytest.raises(JacobianNotPD) as err:
             _spd_apply(np.diag([1.0, -2.0]), self.R[:2], p)
         assert err.value.min_eigenvalue == -2.0
+
+
+class TestShiftedSpdApply:
+    """(I + h J^(p+1))^-1 J^p r, the linearly implicit Euler velocity."""
+
+    R = TestSpdApply.R
+
+    @pytest.mark.parametrize("h", [0.1, 10.0])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.5, 2.0])
+    def test_matches_dense_solve(self, J, p, h):
+        power = functools.partial(scipy.linalg.fractional_matrix_power, J)
+        expect = np.linalg.solve(np.eye(3) + h * power(p + 1.0), power(p) @ self.R)
+        assert np.allclose(_spd_apply(J, self.R, p, h), expect, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.5], ids=["ricci", "calabi", "fractional"])
+    def test_not_pd_reports_min_eigenvalue(self, p):
+        # the shifted matrix is positive definite; J is tested, not it
+        with pytest.raises(JacobianNotPD) as err:
+            _spd_apply(np.diag([1.0, -2.0]), self.R[:2], p, 0.1)
+        assert err.value.min_eigenvalue == -2.0
+
+
+class TestSparseArms:
+    """Above DENSE_EIG_MAX_N a diagonally dominant J is solved sparsely."""
+
+    @pytest.fixture(scope="class")
+    def torus_state(self):
+        s = torus(23)  # n = 529, just above the dense threshold
+        J = global_jacobian(s, reference_factor(s))
+        r = np.sin(np.arange(s.n_boundary, dtype=float))
+        return J, r
+
+    @pytest.mark.parametrize("h", [0.0, 0.1, 10.0])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -1.0])
+    def test_sparse_matches_dense(self, torus_state, p, h, monkeypatch):
+        J, r = torus_state
+        assert J.n > DENSE_EIG_MAX_N and _diagonally_dominant(J.matrix)
+        dense = _spd_apply(J.dense(), r, p, h)
+
+        def no_cholesky(A):
+            raise AssertionError("a certified J takes the sparse arm")
+
+        monkeypatch.setattr(hexflow.solve, "_cholesky_solver", no_cholesky)
+        assert np.allclose(_spd_apply(J, r, p, h), dense, rtol=1e-10, atol=0.0)
+
+    @staticmethod
+    def tridiagonal(corner: float) -> GlobalJacobian:
+        # diagonally dominant except row 0, whose leading block is
+        # [[1, corner], [corner, 2]]: positive definite for corner < sqrt(2)
+        n = DENSE_EIG_MAX_N + 64
+        mat = sp.diags([np.full(n - 1, 0.25), np.full(n, 2.0), np.full(n - 1, 0.25)],
+                       offsets=(-1, 0, 1), format="lil")
+        mat[0, 0], mat[0, 1], mat[1, 0] = 1.0, corner, corner
+        mat = mat.tocsr()
+        return GlobalJacobian(mat.data, CsrPattern(n, mat.indptr, mat.indices))
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -1.0])
+    def test_uncertified_takes_dense_arm(self, p, monkeypatch):
+        J = self.tridiagonal(1.2)
+        assert not _diagonally_dominant(J.matrix)
+
+        def no_lu(A):
+            raise AssertionError("an uncertified J takes the dense arm")
+
+        monkeypatch.setattr(hexflow.solve, "_lu_solver", no_lu)
+        r = np.cos(np.arange(J.n, dtype=float))
+        A = J.dense()
+        expect = np.linalg.solve(np.eye(J.n) + 0.1 * np.linalg.matrix_power(A, int(p) + 1),
+                                 np.linalg.matrix_power(A, int(p)) @ r)
+        assert np.allclose(_spd_apply(J, r, p, 0.1), expect, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -1.0])
+    def test_uncertified_indefinite_raises(self, p):
+        J = self.tridiagonal(1.6)
+        with pytest.raises(JacobianNotPD) as err:
+            _spd_apply(J, np.ones(J.n), p, 0.1)
+        assert err.value.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(J.dense())[0])
+        assert err.value.min_eigenvalue < 0.0
 
 
 class TestVelocity:
@@ -218,7 +308,7 @@ class TestGuardedStep:
             seen.append(step)
             return None if len(seen) <= rejections else "value"
 
-        out = _guarded_step(pants, alpha, d, 1.0, accept)
+        out = _guarded_step(pants, alpha, lambda step: step * d, 1.0, accept)
         assert seen == accept_steps
         if result_step is None:
             assert out is None
@@ -228,6 +318,13 @@ class TestGuardedStep:
             assert (step, value) == (result_step, "value")
             assert np.array_equal(trial, alpha + step * d)
             assert margin >= STEP_MARGIN
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_step_stalls(self, pants, step):
+        # inf * STEP_SHRINK stays inf: the loop must end, not spin
+        out = _guarded_step(pants, np.full(3, 0.3), lambda h: h * np.full(3, 0.01), step,
+                            lambda trial, h: "value")
+        assert out is None
 
 
 class TestRunFlow:
@@ -303,6 +400,14 @@ class TestRunFlow:
         rho = np.min((np.log(resid[0]) - np.log(resid[1:][pos[1:]])) / t[1:][pos[1:]])
         assert rho > 0.0
 
+    @pytest.mark.parametrize("method", ["ricci", "calabi", "fractional"])
+    def test_huge_dt0_returns(self, pants, method):
+        # dt grows after every accepted step and must stay finite
+        _, Kbar, a0 = round_trip_problem(pants)
+        _, trace = run_flow(pants, a0, Kbar, FlowConfig(method=method, dt0=1e308))
+        assert trace.status == CONVERGED
+        assert np.isfinite(trace.column("dt")).all()
+
     def test_max_steps_exhaustion(self, pants):
         _, Kbar, a0 = round_trip_problem(pants)
         _, trace = run_flow(pants, a0, Kbar, FlowConfig(method="ricci", max_steps=1))
@@ -325,6 +430,14 @@ class TestRunFlow:
         stub_jacobians(monkeypatch, itertools.repeat(np.diag([1.0, 1.0, -1.0])))
         _, trace = run_flow(pants, a0, Kbar, FlowConfig(method="calabi"))
         assert trace.status == "JacobianNotPD"
+
+    def test_ricci_jacobian_not_pd_status(self, pants, monkeypatch):
+        # the implicit ricci step reads J and tests it like the other flows
+        _, Kbar, a0 = round_trip_problem(pants)
+        stub_jacobians(monkeypatch, itertools.repeat(np.diag([1.0, 1.0, -1.0])))
+        _, trace = run_flow(pants, a0, Kbar, FlowConfig(method="ricci"))
+        assert trace.status == "JacobianNotPD"
+        assert len(trace.rows) == 1
 
     def test_power_overflow_after_first_step_stalls(self, pants, monkeypatch):
         # J^s (K - Kbar) is finite at a0 and overflows from the second step
@@ -356,6 +469,27 @@ class TestRunFlow:
         assert len(lines) == len(trace.rows) + 3
         t_col = trace.column("t")
         assert np.all(np.diff(t_col) > 0.0)
+
+
+# The flows of the CLI digest pins: every fixture from its default base
+# point toward K(base * 1.075).  The linearly implicit step takes at most 11
+# accepted steps here; a stiff step (an explicit Euler step under a dt cap
+# took up to 923) would break the budget.
+@pytest.mark.parametrize("cfg", [
+    FlowConfig(method="ricci"),
+    FlowConfig(method="calabi"),
+    FlowConfig(method="fractional", s=0.5),
+    FlowConfig(method="fractional", s=2.0),
+], ids=["ricci", "calabi", "fractional_0.5", "fractional_2"])
+@pytest.mark.parametrize("fixture, profile", sorted(SURFACE_FILES))
+def test_flow_step_budget(fixture, profile, cfg):
+    s = load(fixture, profile)
+    base = default_base_point(s)
+    a_star = base.alpha * 1.075
+    result, trace = run_flow(s, base, curvature(s, ConformalFactor(a_star)).K, cfg)
+    assert trace.status == CONVERGED
+    assert trace.last("step") <= 40
+    assert np.abs(result.alpha - a_star).max() < 1e-8
 
 
 class TestNewton:
