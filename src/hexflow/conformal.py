@@ -272,12 +272,7 @@ class GlobalJacobian:
         return out.reshape(self.n, self.n)
 
     def min_eigenvalue(self) -> float:
-        if self.n <= DENSE_EIG_MAX_N:
-            return float(np.linalg.eigvalsh(self.dense()).min())
-        vals = scipy.sparse.linalg.eigsh(
-            self.matrix, k=1, which="SA", return_eigenvectors=False
-        )
-        return float(vals[0])
+        return min_eigenvalue(self.dense() if self.n <= DENSE_EIG_MAX_N else self.matrix)
 
     def symmetry_residual(self) -> float:
         d = self.matrix - self.matrix.T
@@ -291,6 +286,20 @@ class GlobalJacobian:
             "cols": self.pattern.indices.tolist(),
             "vals": self.data.tolist(),
         }
+
+
+def min_eigenvalue(A) -> float:
+    """The smallest eigenvalue of the symmetric A: exact (eigvalsh) for an
+    array, an iterative extremal estimate (eigsh) for a sparse matrix."""
+    if sp.issparse(A):
+        # ARPACK starts in the range of its operator, so it never sees an
+        # exact null vector of A; c, twice the largest absolute row sum,
+        # makes A + c I positive definite, with A's eigenvalues shifted by c
+        c = 2.0 * float(abs(A).sum(axis=1).max()) or 1.0
+        B = A + c * sp.identity(A.shape[0], format="csr")
+        w = scipy.sparse.linalg.eigsh(B, k=1, which="SA", return_eigenvectors=False)
+        return float(w[0]) - c
+    return float(np.linalg.eigvalsh(A)[0])
 
 
 def global_jacobian(s: Surface, a: ConformalFactor) -> GlobalJacobian:

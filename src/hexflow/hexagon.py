@@ -32,9 +32,14 @@ def acosh1p(t: float) -> float:
     if t < 0.0:
         raise DomainError(f"arccosh argument below 1: 1 + {t!r}")
     if t > 1e12:
-        # arccosh(1+t) = log(2(1+t)) up to O(1/t^2); avoids overflow in t*t
-        return math.log(2.0) + math.log1p(t)
+        return _acosh1p_log(math.log(t))
     return math.log1p(t + math.sqrt(t * (t + 2.0)))
+
+
+def _acosh1p_log(log_t: float) -> float:
+    # arccosh(1 + t) for t = e^log_t > 1e12, which may be beyond the float
+    # range: log(2 (1 + t)) up to O(1/t^2), and log(1 + t) = log_t + log1p(1/t)
+    return math.log(2.0) + log_t + math.log1p(math.exp(-log_t))
 
 
 def _log1pexp(x: float) -> float:
@@ -122,9 +127,12 @@ def edge_length_alpha(a_i: float, a_j: float, eta: float) -> float:
     """Hyperbolic length of the edge between corners with parameters a_i, a_j.
 
     Uses cosh(l) - 1 = (cos(a_i + a_j) + eta) / (sin(a_i) sin(a_j)), which is
-    exact and avoids cancellation near the admissibility boundary.  Raises
-    NotAdmissible (carrying the deficit) when the margin is at most
-    ADMISSIBILITY_EPS.
+    exact and avoids cancellation near the admissibility boundary; where that
+    quotient t exceeds 1e12 the length is computed from log t, so a product of
+    sines that underflows (a_i, a_j near 0) still gives the finite length.
+    The array kernel (`curvature`) raises DomainError at such points, where
+    its sinh overflows.  Raises NotAdmissible (carrying the deficit) when the
+    margin is at most ADMISSIBILITY_EPS.
     """
     margin = edge_margin(a_i, a_j, eta)
     if margin <= ADMISSIBILITY_EPS:
@@ -133,21 +141,39 @@ def edge_length_alpha(a_i: float, a_j: float, eta: float) -> float:
             f"at (a_i, a_j, eta) = ({a_i!r}, {a_j!r}, {eta!r})",
             deficit=margin,
         )
-    den = math.sin(a_i) * math.sin(a_j)
-    if den == 0.0:
-        raise DomainError(f"sin(a_i) sin(a_j) underflows at (a_i, a_j) = ({a_i!r}, {a_j!r})")
-    return acosh1p(margin / den)
+    sin_i, sin_j = math.sin(a_i), math.sin(a_j)
+    den = sin_i * sin_j
+    if den >= 1e-12 * margin:
+        return acosh1p(margin / den)
+    if not (sin_i > 0.0 and sin_j > 0.0):
+        raise DomainError(f"sin(a_i) sin(a_j) is not positive at (a_i, a_j) = ({a_i!r}, {a_j!r})")
+    return _acosh1p_log(math.log(margin) - math.log(sin_i) - math.log(sin_j))
 
 
 def edge_length_u(u_i: float, u_j: float, eta: float) -> float:
     """Edge length in the log-scale parameters u = -log(tan(a)).
 
     cosh(l) - 1 = expm1(u_i + u_j) + eta * sqrt((1 + e^{2 u_i})(1 + e^{2 u_j}))
-    with the square root evaluated in the log domain, so the formula is safe
-    for |u| far beyond +-30.
+    with the logarithm of the square root, log_root, evaluated first.  Where
+    the root would overflow, t = cosh(l) - 1 is computed as its logarithm,
+    log_root + log(cos(a_i + a_j) + eta), as 1 / root = sin(a_i) sin(a_j);
+    so the formula is safe for every u up to where 2 u overflows, and raises
+    DomainError beyond.  The array kernel (`curvature`) raises DomainError at
+    such points, where its sinh overflows.
     """
-    root = math.exp(0.5 * (_log1pexp(2.0 * u_i) + _log1pexp(2.0 * u_j)))
-    t = math.expm1(u_i + u_j) + eta * root
+    log_root = 0.5 * (_log1pexp(2.0 * u_i) + _log1pexp(2.0 * u_j))
+    if log_root > 700.0:  # e^log_root is near the float range
+        if log_root == math.inf:
+            raise DomainError(f"2 u overflows at (u_i, u_j) = ({u_i!r}, {u_j!r})")
+        margin = math.exp(u_i + u_j - log_root) - math.exp(-log_root) + eta
+        if margin <= 0.0:
+            raise NotAdmissible(
+                f"cos(a_i + a_j) + eta = {margin:.3e} <= 0 at (u_i, u_j, eta) = "
+                f"({u_i!r}, {u_j!r}, {eta!r})",
+                deficit=margin,
+            )
+        return _acosh1p_log(log_root + math.log(margin))
+    t = math.expm1(u_i + u_j) + eta * math.exp(log_root)
     if t <= 0.0:
         raise NotAdmissible(
             f"cosh(l) - 1 = {t:.3e} <= 0 at (u_i, u_j, eta) = "

@@ -10,11 +10,11 @@ positive target Kbar:
 With r = K - Kbar, a flow's velocity is -J^p r with p = 0 (ricci), 1
 (calabi) or s (fractional), and Newton's direction is -J^-1 r.  One routine,
 `_spd_apply`, computes (I + h J^(p+1))^-1 J^p r and owns the positive
-definiteness test: a Cholesky factorisation of J for p in {0, 1, -1} (above
-DENSE_EIG_MAX_N, a diagonal dominance certificate and a sparse LU), the
-symmetric eigendecomposition for any other p.  At h = 0 it is J^p r: the
-flows' right-hand side and Newton's direction.  s = 0 and s = 1 reach the
-ricci and calabi arms, so those traces agree bit for bit.
+definiteness test: a factorisation of J for p in {0, 1, -1} (Cholesky, or
+above DENSE_EIG_MAX_N a sparse LDL^T), the symmetric eigendecomposition for
+any other p.  At h = 0 it is J^p r: the flows' right-hand side and Newton's
+direction.  s = 0 and s = 1 reach the ricci and calabi arms, so those
+traces agree bit for bit.
 
 Time stepping is linearly implicit (Rosenbrock) Euler,
 a <- a + dt v with v = -(I + dt J^(p+1))^-1 J^p r, which linearises the
@@ -60,6 +60,7 @@ from .conformal import (
     curvature,
     default_base_point,
     factor_margin,
+    min_eigenvalue,
     potential,
     _segment_curvature_integral,
 )
@@ -181,17 +182,14 @@ def _spd_apply(J, r: np.ndarray, p: float, h: float = 0.0) -> np.ndarray:
     GlobalJacobian or an array) and h >= 0; J must be positive definite
     unless p == 0 and h == 0.  At h == 0 this is J^p r.
 
-    p == 0 with h == 0 returns r and reads no J.  p in {0, 1, -1} tests
-    definiteness by a Cholesky factorisation of J and solves with Cholesky
-    factors; above DENSE_EIG_MAX_N a GlobalJacobian whose CSR matrix is
-    strictly diagonally dominant with a positive diagonal, and so positive
-    definite by Gershgorin's theorem, is solved with a sparse LU instead.
-    Any other p uses the eigendecomposition,
-    V (w^p / (1 + h w^(p+1))) V^T r, and raises DomainError when that is
-    not finite (p too large for the eigenvalues of J).  Every arm raises
-    JacobianNotPD for an indefinite J, with the minimum eigenvalue, which is
-    computed only then.  The shift is applied as (I/h + J^(p+1))^-1 / h, so
-    no entry overflows for a huge h.
+    p == 0 with h == 0 returns r and reads no J.  p in {0, 1, -1} factors J,
+    which tests its definiteness, and the shifted matrix: by Cholesky, or
+    above DENSE_EIG_MAX_N for a GlobalJacobian by a sparse LDL^T.  Any other
+    p uses the eigendecomposition, V (w^p / (1 + h w^(p+1))) V^T r, and
+    raises DomainError when that is not finite (p too large for the
+    eigenvalues of J).  Every arm raises JacobianNotPD for an indefinite J,
+    with its minimum eigenvalue, which is computed only then.  The shift is
+    applied as (I/h + J^(p+1))^-1 / h, so no entry overflows for a huge h.
     """
     if p == 0 and h == 0:
         return r
@@ -199,19 +197,20 @@ def _spd_apply(J, r: np.ndarray, p: float, h: float = 0.0) -> np.ndarray:
         raise DomainError(f"J^p r with p = {p!r} needs the curvature Jacobian")
     n = r.shape[0]
     if p in (0, 1, -1):
-        if n > DENSE_EIG_MAX_N and isinstance(J, GlobalJacobian) and _diagonally_dominant(J.matrix):
-            # positive definite by Gershgorin: no factorisation tests it
-            A, eye, solver = J.matrix, sp.identity(n, format="csr"), _lu_solver
-            solve = _lu_solver(A) if p == -1 else None
+        if n > DENSE_EIG_MAX_N and isinstance(J, GlobalJacobian):
+            A, eye, factor = J.matrix, sp.identity(n, format="csr"), _ldl_solver
         else:
-            A, eye, solver = _dense(J), np.eye(n), _cholesky_solver
-            solve = _cholesky_solver(A)  # the definiteness test
+            A, eye, factor = _dense(J), np.eye(n), _cholesky_solver
+        solve = factor(A)  # the definiteness test
+        if solve is None:
+            raise _not_pd(A)
         v = solve(r) if p == -1 else A @ r if p == 1 else r
-        if h == 0:
-            return v
-        if p == -1:  # J^(p+1) = I
+        if h == 0 or p == -1:  # at p == -1, J^(p+1) = I; at h == 0, v / 1.0 is v
             return v / (1.0 + h)
-        return solver(eye / h + (A if p == 0 else A @ A))(v) / h
+        shifted = factor(eye / h + (A if p == 0 else A @ A))
+        if shifted is None:
+            raise _not_pd(A)
+        return shifted(v) / h
     A = _dense(J)
     try:
         w, V = np.linalg.eigh(A)
@@ -233,36 +232,35 @@ def _dense(J) -> np.ndarray:
     return J if isinstance(J, np.ndarray) else J.dense()
 
 
-def _not_pd(A: np.ndarray) -> JacobianNotPD:
-    min_eig = float(np.linalg.eigvalsh(A)[0])
+def _not_pd(A) -> JacobianNotPD:
+    min_eig = min_eigenvalue(A)
     return JacobianNotPD(
         f"curvature Jacobian not positive definite, min eigenvalue {min_eig:.3e}",
         min_eigenvalue=min_eig,
     )
 
 
-def _cholesky_solver(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> A^-1 x by a Cholesky factorisation of the dense symmetric A;
-    raises JacobianNotPD unless A is positive definite."""
+def _cholesky_solver(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
+    """x -> A^-1 x by a Cholesky factorisation of the dense symmetric A, or
+    None unless A is positive definite."""
     try:
         factor = scipy.linalg.cho_factor(A, check_finite=False)
     except np.linalg.LinAlgError:
-        raise _not_pd(A) from None
+        return None
     return lambda x: scipy.linalg.cho_solve(factor, x, check_finite=False)
 
 
-def _lu_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> A^-1 x by a sparse LU factorisation of the nonsingular A."""
-    return splu(sp.csc_matrix(A)).solve
-
-
-def _diagonally_dominant(M: sp.csr_matrix) -> bool:
-    """Whether every row of the CSR matrix M has a positive diagonal entry
-    larger than the sum of its off-diagonal magnitudes: for a symmetric M,
-    a certificate (Gershgorin) that M is positive definite, in O(nnz)."""
-    diag = M.diagonal()
-    off = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
-    return bool(np.all((diag > 0.0) & (diag > off)))
+def _ldl_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray] | None:
+    """x -> A^-1 x by a sparse LDL^T factorisation of the symmetric A (SuperLU,
+    diagonal pivots in a symmetric minimum-degree order), or None unless A is
+    positive definite: exactly when every pivot is positive (Sylvester)."""
+    try:
+        lu = splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly zero pivot
+        return None
+    pd = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)
+    return lu.solve if pd else None
 
 
 def _target(s: Surface, Kbar) -> np.ndarray:
@@ -358,7 +356,7 @@ def run_flow(
             return ConformalFactor(alpha), trace
         alpha, dt, margin, (c, cal) = guarded
         path.append(alpha)
-        t += dt
+        t = min(t + dt, sys.float_info.max)
         resid = float(np.max(np.abs(c.K - Kbar)))
         rows.append((step, t, dt, resid, cal, None, margin))
 

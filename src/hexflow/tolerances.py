@@ -49,7 +49,6 @@ ARMIJO = 1e-4
 
 # Largest n for which the linear algebra of J is dense.  Above it,
 # `GlobalJacobian.min_eigenvalue` is an iterative extremal estimate, and
-# the p = 0, 1 and -1 arms of `solve._spd_apply` solve with a sparse LU of
-# the CSR matrix once strict diagonal dominance certifies that J is
-# positive definite (the dense arms serve a J that fails the certificate).
+# the p = 0, 1 and -1 arms of `solve._spd_apply` factor the CSR matrix by
+# a sparse LDL^T, whose pivots also test that J is positive definite.
 DENSE_EIG_MAX_N = 512

@@ -215,6 +215,20 @@ class TestFlow:
         fpath, tpath = self.setup_problem(factor_file, target_file)
         assert main([command, pants_path, fpath, tpath, *option]) == 2
 
+    @pytest.mark.parametrize("method", ["ricci", "calabi", "fractional"])
+    def test_huge_dt0_keeps_time_finite(
+        self, pants_path, factor_file, target_file, tmp_path, capsys, method
+    ):
+        # dt is capped at the largest float, and so is the sum of the steps
+        fpath, tpath = self.setup_problem(factor_file, target_file)
+        trace = tmp_path / "trace.csv"
+        args = ["flow", pants_path, fpath, tpath, "--method", method, "--dt0", "1e308"]
+        assert main([*args, "--trace", str(trace)]) == 0
+        rows = [line.split(",") for line in trace.read_text().splitlines()[1:] if line[0] != "#"]
+        assert len(rows) > 2 and all(math.isfinite(float(row[1])) for row in rows)
+        t = capsys.readouterr().out.split(" t=")[1].split()[0]
+        assert math.isfinite(float(t))
+
     def test_huge_fractional_order_exits_2(self, pants_path, factor_file, target_file):
         fpath, tpath = self.setup_problem(factor_file, target_file)
         assert main(["flow", pants_path, fpath, tpath, "--method", "fractional", "--s", "1000"]) == 2

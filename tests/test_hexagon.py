@@ -54,10 +54,40 @@ class TestEdgeLength:
             edge_length_alpha(math.pi / 4, math.pi / 4, 0.0)
         assert err.value.deficit == pytest.approx(0.0, abs=1e-15)
 
-    def test_underflowing_sines_are_a_domain_error(self):
-        # sin(1e-170)^2 underflows to 0, as in the kernel's guard case
+    def test_underflowing_sines_are_log_safe(self):
+        # sin(1e-170)^2 underflows to 0 and e^(2 u) overflows at the same
+        # corner, u = -log tan(1e-170); both forms give the finite length
+        expect = 783.57207879853548  # mpmath at 60 digits
+        assert edge_length_alpha(1e-170, 1e-170, 0.0) == pytest.approx(expect, rel=1e-13)
+        u = 391.43946580898777
+        assert edge_length_u(u, u, 0.0) == pytest.approx(expect, rel=1e-13)
+
+    # edge_length_alpha switches to log t where t = cosh(l) - 1 exceeds 1e12
+    # (a_i = a_j near 1e-6), edge_length_u where log_root exceeds 700
+    # (u_i = u_j near 350); points on each side of both switches
+    @pytest.mark.parametrize("a", [1e-5, 2e-6, 1e-6, 5e-7, 1e-100, 1e-170, 5e-324])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, -0.3])
+    def test_alpha_form_matches_mpmath(self, a, eta):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            x, e = mp.mpf(a), mp.mpf(eta)
+            expect = mp.acosh(1 + (mp.cos(2 * x) + e) / mp.sin(x) ** 2)
+        assert edge_length_alpha(a, a, eta) == pytest.approx(float(expect), rel=1e-13)
+
+    @pytest.mark.parametrize("u", [340.0, 349.9, 350.1, 360.0, 391.43946580898777, 1e4])
+    @pytest.mark.parametrize("u_j, eta", [("u", 0.0), ("u", 2.0), (-5.0, 0.5), (3.0, -0.5)])
+    def test_u_form_matches_mpmath(self, u, u_j, eta):
+        mp = pytest.importorskip("mpmath")
+        u_j = u if u_j == "u" else u_j
+        with mp.workdps(60):
+            x, y, e = mp.mpf(u), mp.mpf(u_j), mp.mpf(eta)
+            root = mp.sqrt((1 + mp.exp(2 * x)) * (1 + mp.exp(2 * y)))
+            expect = mp.acosh(1 + mp.expm1(x + y) + e * root)
+        assert edge_length_u(u, u_j, eta) == pytest.approx(float(expect), rel=1e-13)
+
+    def test_u_beyond_the_float_range_is_a_domain_error(self):
         with pytest.raises(DomainError):
-            edge_length_alpha(1e-170, 1e-170, 0.5)
+            edge_length_u(1e308, 1e308, 0.0)
 
     def test_large_weight_value(self):
         got = edge_length_alpha(math.pi / 3, math.pi / 3, 2.0)

@@ -36,7 +36,6 @@ from hexflow.solve import (
     MAX_ITERS,
     MAX_STEPS,
     STALLED_STEP,
-    _diagonally_dominant,
     _guarded_step,
     _spd_apply,
 )
@@ -122,7 +121,8 @@ class TestShiftedSpdApply:
 
 
 class TestSparseArms:
-    """Above DENSE_EIG_MAX_N a diagonally dominant J is solved sparsely."""
+    """Above DENSE_EIG_MAX_N a GlobalJacobian is factored sparsely, and the
+    factorisation is the definiteness test."""
 
     @pytest.fixture(scope="class")
     def torus_state(self):
@@ -131,52 +131,75 @@ class TestSparseArms:
         r = np.sin(np.arange(s.n_boundary, dtype=float))
         return J, r
 
+    @staticmethod
+    def no_cholesky(monkeypatch):
+        def fail(A):
+            raise AssertionError("a GlobalJacobian above the threshold takes the sparse arm")
+
+        monkeypatch.setattr(hexflow.solve, "_cholesky_solver", fail)
+
     @pytest.mark.parametrize("h", [0.0, 0.1, 10.0])
     @pytest.mark.parametrize("p", [0.0, 1.0, -1.0])
     def test_sparse_matches_dense(self, torus_state, p, h, monkeypatch):
         J, r = torus_state
-        assert J.n > DENSE_EIG_MAX_N and _diagonally_dominant(J.matrix)
+        assert J.n > DENSE_EIG_MAX_N
         dense = _spd_apply(J.dense(), r, p, h)
-
-        def no_cholesky(A):
-            raise AssertionError("a certified J takes the sparse arm")
-
-        monkeypatch.setattr(hexflow.solve, "_cholesky_solver", no_cholesky)
+        self.no_cholesky(monkeypatch)
         assert np.allclose(_spd_apply(J, r, p, h), dense, rtol=1e-10, atol=0.0)
 
     @staticmethod
-    def tridiagonal(corner: float) -> GlobalJacobian:
+    def tridiagonal(corner: float, first: float = 1.0) -> GlobalJacobian:
         # diagonally dominant except row 0, whose leading block is
-        # [[1, corner], [corner, 2]]: positive definite for corner < sqrt(2)
+        # [[first, corner], [corner, 2]]: for first = 1, positive definite
+        # when corner < sqrt(2), not diagonally dominant when corner > 1
         n = DENSE_EIG_MAX_N + 64
         mat = sp.diags([np.full(n - 1, 0.25), np.full(n, 2.0), np.full(n - 1, 0.25)],
                        offsets=(-1, 0, 1), format="lil")
-        mat[0, 0], mat[0, 1], mat[1, 0] = 1.0, corner, corner
+        mat[0, 0], mat[0, 1], mat[1, 0] = first, corner, corner
         mat = mat.tocsr()
         return GlobalJacobian(mat.data, CsrPattern(n, mat.indptr, mat.indices))
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -1.0])
-    def test_uncertified_takes_dense_arm(self, p, monkeypatch):
+    def test_pd_not_dominant_takes_sparse_arm(self, p, monkeypatch):
         J = self.tridiagonal(1.2)
-        assert not _diagonally_dominant(J.matrix)
-
-        def no_lu(A):
-            raise AssertionError("an uncertified J takes the dense arm")
-
-        monkeypatch.setattr(hexflow.solve, "_lu_solver", no_lu)
         r = np.cos(np.arange(J.n, dtype=float))
         A = J.dense()
         expect = np.linalg.solve(np.eye(J.n) + 0.1 * np.linalg.matrix_power(A, int(p) + 1),
                                  np.linalg.matrix_power(A, int(p)) @ r)
+        self.no_cholesky(monkeypatch)
         assert np.allclose(_spd_apply(J, r, p, 0.1), expect, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -1.0])
-    def test_uncertified_indefinite_raises(self, p):
+    def test_uncertified_indefinite_raises(self, p, monkeypatch):
+        # not diagonally dominant and indefinite: the sparse factorisation
+        # raises, and no dense eigensolver runs
         J = self.tridiagonal(1.6)
+        dense_min = np.linalg.eigvalsh(J.dense())[0]
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("a dense eigensolver ran above the threshold")
+
+        self.no_cholesky(monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
+        monkeypatch.setattr(np.linalg, "eigh", no_dense)
         with pytest.raises(JacobianNotPD) as err:
             _spd_apply(J, np.ones(J.n), p, 0.1)
-        assert err.value.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(J.dense())[0])
+        assert err.value.min_eigenvalue == pytest.approx(dense_min, rel=1e-8)
         assert err.value.min_eigenvalue < 0.0
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -1.0])
+    @pytest.mark.parametrize("corner, first", [(1.2, 0.0), (0.0, 0.0)],
+                             ids=["zero-diagonal", "singular"])
+    def test_zero_pivot_raises_not_pd(self, corner, first, p, monkeypatch):
+        # an exactly zero diagonal entry, then an exactly zero row and column:
+        # SuperLU either pivots off the diagonal or stops on a zero pivot
+        J = self.tridiagonal(corner, first)
+        dense_min = np.linalg.eigvalsh(J.dense())[0]
+        self.no_cholesky(monkeypatch)
+        with pytest.raises(JacobianNotPD) as err:
+            _spd_apply(J, np.ones(J.n), p, 0.1)
+        assert err.value.min_eigenvalue == pytest.approx(dense_min, rel=1e-8, abs=1e-10)
+        assert err.value.min_eigenvalue < 1e-10
 
 
 class TestVelocity:
