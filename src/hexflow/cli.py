@@ -5,7 +5,9 @@ file that cannot be written, 3 inadmissible factor, 4 non-convergence
 (step budget or stall), 5 Jacobian not positive definite, 6 target not
 attainable.  Identical inputs and seed produce byte-identical outputs:
 reductions are ordered and floats are written in shortest round-trip
-decimal.
+decimal.  Output paths are checked before any work, so an output that is
+a directory or lies in a missing directory exits 2 whatever the run would
+have ended with, and a command leaves all of its output files or none.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -43,7 +46,7 @@ from .hexagon import (
     diagonal_identity_residuals,
     length_jacobian_fd,
 )
-from .jsonio import dump, dumps, load, write
+from .jsonio import check_writable, dump, dumps, load, write
 from .solve import (
     CONVERGED,
     JACOBIAN_NOT_PD,
@@ -76,6 +79,22 @@ def _write_json(data: dict, path: str | None) -> None:
         print(dumps(data))
     else:
         dump(data, path, "curvature")
+
+
+def _write_all(*outputs) -> None:
+    """Call writer(path) for each (path, writer) whose path is set; when one
+    fails, remove the files already written and re-raise, so that a command
+    leaves all of its output files or none."""
+    written = []
+    try:
+        for path, writer in outputs:
+            if path:
+                writer(path)
+                written.append(path)
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
 
 
 def _load_target(path, n: int) -> np.ndarray:
@@ -127,10 +146,8 @@ def cmd_flow(args) -> int:
         max_steps=args.max_steps,
     )
     result, trace = run_flow(surface, factor, Kbar, cfg)
-    if args.trace:
-        write(args.trace, trace.to_csv(), "trace")
-    if args.out:
-        save_factor(result, args.out)
+    _write_all((args.trace, lambda path: write(path, trace.to_csv(), "trace")),
+               (args.out, lambda path: save_factor(result, path)))
     print(
         f"status={trace.status} steps={trace.last('step')} t={_fmt(trace.last('t'))} "
         f"resid_inf={_fmt(trace.last('resid_inf'))}"
@@ -148,10 +165,8 @@ def cmd_solve(args) -> int:
     Kbar = _load_target(args.target, surface.n_boundary)
     cfg = NewtonConfig(tol=args.tol, max_iters=args.max_iters)
     result, log = solve_prescribed(surface, factor, Kbar, cfg)
-    if args.log:
-        write(args.log, log.to_csv(), "log")
-    if args.out:
-        save_factor(result, args.out)
+    _write_all((args.log, lambda path: write(path, log.to_csv(), "log")),
+               (args.out, lambda path: save_factor(result, path)))
     last = log.rows[-1]
     print(f"status={log.status} iters={last[0]} resid_inf={_fmt(last[1])}")
     return EXIT_OK if log.status == CONVERGED else EXIT_NONCONVERGED
@@ -222,12 +237,14 @@ def cmd_volume(args) -> int:
     grid = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
     points, volumes, eigs = volume_grid(chart, grid)  # skips the inadmissible points
 
-    lines = ["alpha_i,alpha_j,alpha_k,volume,hess_eig_min,hess_eig_max"]
     base_eigs = np.linalg.eigvalsh(volume_hessian(chart, base))
-    for a, V, eig in [(base.as_tuple(), relative_volume(chart, base), base_eigs),
-                      *zip(points, volumes, eigs)]:
-        lines.append(",".join(_fmt(x) for x in (*a, V, eig[0], eig[-1])))
-
+    table = np.vstack(([*base.as_tuple(), relative_volume(chart, base), base_eigs[0], base_eigs[-1]],
+                       np.column_stack((points, volumes, eigs[:, 0], eigs[:, -1]))))
+    # each distinct value is formatted once, told apart by its bits (-0.0 is not 0.0)
+    bits, cell = np.unique(table.view(np.int64), return_inverse=True)
+    cells = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+    rows = cells[cell.reshape(table.shape)].tolist()
+    lines = ["alpha_i,alpha_j,alpha_k,volume,hess_eig_min,hess_eig_max", *map(",".join, rows)]
     text = "\n".join(lines) + "\n"
     if args.out:
         write(args.out, text, "volume")
@@ -272,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("factors")
     p.add_argument("--out", help="write JSON here instead of stdout")
     add_strict(p)
-    p.set_defaults(func=cmd_curvature)
+    p.set_defaults(func=cmd_curvature, outputs={"out": "curvature"})
 
     p = sub.add_parser("flow", help="integrate a curvature flow toward target boundary lengths")
     p.add_argument("surface")
@@ -286,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the accepted-step trace CSV here")
     p.add_argument("--out", help="write the final factor JSON here")
     add_strict(p)
-    p.set_defaults(func=cmd_flow)
+    p.set_defaults(func=cmd_flow, outputs={"trace": "trace", "out": "factor"})
 
     p = sub.add_parser("solve", help="Newton solve for a factor with prescribed boundary lengths")
     p.add_argument("surface")
@@ -297,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the solution factor JSON here")
     p.add_argument("--log", help="write the iterate log CSV here")
     add_strict(p)
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, outputs={"log": "log", "out": "factor"})
 
     # no abbreviations: "--h" would otherwise abbreviate --help and exit 0
     p = sub.add_parser("jacobian-check", allow_abbrev=False,
@@ -313,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=float, nargs=3, required=True, metavar=("A_I", "A_J", "A_K"))
     p.add_argument("--grid-step", type=float, default=math.pi / 60)
     p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=cmd_volume)
+    p.set_defaults(func=cmd_volume, outputs={"out": "volume"})
 
     return parser
 
@@ -322,6 +339,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every output path (option dest -> kind of file) is checked before any work
+        for dest, kind in getattr(args, "outputs", {}).items():
+            if path := getattr(args, dest):
+                check_writable(path, kind)
         return args.func(args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,9 +3,11 @@
 `load(path, kind)` reads a JSON document and raises ParseError naming the
 file when it cannot be read or decoded.  `write(path, text, kind)` is the
 one writer of every output file, JSON or CSV: it raises HexflowError
-naming the file when the file cannot be written.  Both messages name the
-path once: an OSError contributes its strerror, not its text, which
-repeats the path.
+naming the file when the file cannot be written, and
+`check_writable(path, kind)` raises that error before any work for a path
+that is a directory or lies in no directory.  The messages name the path
+once: an OSError contributes its strerror, not its text, which repeats the
+path.
 
 `dumps(obj)` returns exactly the text of `json.dumps(obj, indent=1)`, and
 `dump(obj, path, kind)` writes it with a final newline; dict keys must be
@@ -18,8 +20,11 @@ curvature dump.  Non-finite floats are written as `NaN`, `Infinity` and
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
+import stat
 from json.encoder import encode_basestring_ascii as _string
 
 from .errors import HexflowError, ParseError
@@ -45,7 +50,23 @@ def write(path, text: str, kind: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise HexflowError(f"cannot write {kind} file {path}: {_reason(exc)}") from exc
+        raise _cannot_write(path, kind, exc) from exc
+
+
+def check_writable(path, kind: str) -> None:
+    """Raise write's error for a path that is a directory or whose directory
+    does not exist, before anything is computed for it."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(os.path.abspath(path))).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise _cannot_write(path, kind, exc) from exc
+
+
+def _cannot_write(path, kind: str, exc: OSError) -> HexflowError:
+    return HexflowError(f"cannot write {kind} file {path}: {_reason(exc)}")
 
 
 def _reason(exc: Exception):

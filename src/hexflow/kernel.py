@@ -10,13 +10,24 @@ with closed-form off-diagonal entries and chain-rule diagonal entries.
 Inputs carry any leading batch axes, so one call covers every node of a
 quadrature level.
 
+The kernel computes slot-major.  It transposes the (..., F, 3) input once
+to a contiguous (3, F, ...) array, so that each per-slot operand is a
+gather along axis 0, which copies whole blocks; numpy copies a gather
+along the last axis element by element (at shape (2048, 1, 3), 1.8 us
+against 26 us on a 2-vCPU x86-64 VM).  Its outputs keep the C layout
+(..., F, 3), (..., F) and (..., F, 3, 3), so every reduction downstream
+(the bincount of the arcs in face-then-slot order, the matmul of the
+potential's integrand) keeps its bits; matmul rounds a transposed view
+differently.
+
 The kernel does not check admissibility; callers pass every point through
 the gate `conformal.factor_margin` (built on `edge_margins`) first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,15 +39,14 @@ from .triangulation import Surface
 _P = np.array([0, 0, 1])
 _Q = np.array([1, 2, 2])
 _R = np.array([2, 1, 0])
-# For corner p: the other two corners, and the sides joining them to p.
-_Q1, _E1 = np.array([1, 0, 0]), np.array([0, 0, 1])
-_Q2, _E2 = np.array([2, 2, 1]), np.array([1, 2, 2])
+# For corner p: the other two corners (one per row), and the sides to them.
+_QQ = np.array([[1, 0, 0], [2, 2, 1]])
+_EE = np.array([[0, 0, 1], [1, 2, 2]])
 # Row-major 3x3 block from (J_ii, J_jj, J_kk, J_ij, J_ik, J_jk).
 _BLOCK = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
 
 
-@dataclass(frozen=True)
-class FaceValues:
+class FaceValues(NamedTuple):
     """Kernel output over batch axes (..., F): lengths (l_ij, l_ik, l_jk)
     and arcs (th_i, th_j, th_k) of shape (..., F, 3), A of shape (..., F),
     and, when requested, the angle Jacobian blocks d(th)/d(a) of shape
@@ -75,31 +85,42 @@ def _check_faces(face_ids, checks) -> None:
             raise DomainError(f"face {name}: {what} not {qualifier}")
 
 
+def _c_layout(x: np.ndarray) -> np.ndarray:
+    # a slot-major (k, F, ...) array in the C layout (..., F, k) of the outputs
+    return np.ascontiguousarray(x.T)
+
+
+def _slot_arcs(L: np.ndarray, face_ids):
+    # face_arcs on slot-major lengths L (3, F, ...); A has shape (F, ...)
+    sh = np.sinh(L)
+    # cosh(th) - 1 = (cosh(l_a - l_b) + cosh(l_opp)) / (sinh(l_a) sinh(l_b))
+    # for th_i, th_j, th_k with (l_a, l_b, l_opp) = (ij, ik, jk),
+    # (ij, jk, ik), (ik, jk, ij)
+    t = (np.cosh(L.take(_P, 0) - L.take(_Q, 0)) + np.cosh(L.take(_R, 0))) / (
+        sh.take(_P, 0) * sh.take(_Q, 0)
+    )
+    arcs = _acosh1p(t)
+    A = sh[0] * sh[1] * np.sinh(arcs[0])
+    # A NaN or infinite length makes some arc NaN, infinite or zero, and no
+    # arc is negative, so a finite sum of log(th A) shows every arc and A
+    # finite and positive; an over- or underflow of th A only runs the check.
+    if not math.isfinite(np.log(arcs * A).sum()):
+        _check_faces(
+            face_ids,
+            (
+                ("edge length", L.T, True),
+                ("boundary arc", arcs.T, True),
+                ("invariant A", A.T[..., None], True),
+            ),
+        )
+    return sh, arcs, A
+
+
 def face_arcs(lengths: np.ndarray, face_ids=None):
     """The arc half of face_kernel: (sinh(lengths), arcs, A) from side
     lengths (l_ij, l_ik, l_jk) of shape (..., F, 3), raising as face_kernel
     does when an arc or A fails.  Call it inside np.errstate(all="ignore")."""
-    sh = np.sinh(lengths)
-    # cosh(th) - 1 = (cosh(l_a - l_b) + cosh(l_opp)) / (sinh(l_a) sinh(l_b))
-    # for th_i, th_j, th_k with (l_a, l_b, l_opp) = (ij, ik, jk),
-    # (ij, jk, ik), (ik, jk, ij)
-    t = (
-        np.cosh(lengths.take(_P, -1) - lengths.take(_Q, -1)) + np.cosh(lengths.take(_R, -1))
-    ) / (sh.take(_P, -1) * sh.take(_Q, -1))
-    arcs = _acosh1p(t)
-    A = sh[..., 0] * sh[..., 1] * np.sinh(arcs[..., 0])
-    # A NaN or infinite length makes some arc NaN, infinite or zero, so
-    # finite positive arcs and A cover the lengths too.
-    if not (np.isfinite(arcs.sum() + A.sum()) and arcs.min() > 0.0 and A.min() > 0.0):
-        _check_faces(
-            face_ids,
-            (
-                ("edge length", lengths, True),
-                ("boundary arc", arcs, True),
-                ("invariant A", A[..., None], True),
-            ),
-        )
-    return sh, arcs, A
+    return tuple(map(_c_layout, _slot_arcs(_c_layout(lengths), face_ids)))
 
 
 def face_kernel(
@@ -114,39 +135,35 @@ def face_kernel(
     sine underflows or a sinh overflows at extreme points.
     """
     with np.errstate(all="ignore"):
+        a = _c_layout(a)
+        eta = _c_layout(eta[(None,) * (a.ndim - 2)])  # (3, F, 1, ...)
         sa = np.sin(a)
         # cosh(l) - 1 = (cos(a_p + a_q) + eta) / (sin(a_p) sin(a_q))
-        t = (np.cos(a.take(_P, -1) + a.take(_Q, -1)) + eta) / (sa.take(_P, -1) * sa.take(_Q, -1))
-        lengths = _acosh1p(t)
-        sh, arcs, A = face_arcs(lengths, face_ids)
+        t = (np.cos(a.take(_P, 0) + a.take(_Q, 0)) + eta) / (sa.take(_P, 0) * sa.take(_Q, 0))
+        L = _acosh1p(t)
+        sh, arcs, A = _slot_arcs(L, face_ids)
+        lengths = _c_layout(L)
         if not jacobian:
-            return FaceValues(lengths, arcs, A)
+            return FaceValues(lengths, _c_layout(arcs), _c_layout(A))
 
         ca = np.cos(a)
         s2 = sa * sa
-        A3 = A[..., None]
-        inv_A = 1.0 / A3
         # gamma_i, gamma_j, gamma_k
-        g = eta.take(_R, 1) + eta.take(_P, 1) * eta.take(_Q, 1)
+        g = eta.take(_R, 0) + eta.take(_P, 0) * eta.take(_Q, 0)
         off = (
-            (1.0 - eta**2) * ca.take(_R, -1)
-            + g.take(_Q, 1) * ca.take(_P, -1)
-            + g.take(_P, 1) * ca.take(_Q, -1)
-        ) / (A3 * sh**2 * s2.take(_P, -1) * s2.take(_Q, -1) * sa.take(_R, -1))
+            (1.0 - eta**2) * ca.take(_R, 0)
+            + g.take(_Q, 0) * ca.take(_P, 0)
+            + g.take(_P, 0) * ca.take(_Q, 0)
+        ) / (A * sh**2 * s2.take(_P, 0) * s2.take(_Q, 0) * sa.take(_R, 0))
 
         # J_pp is the sum over the two sides pq at corner p of
         # dth_p/dl_pq * dl_pq/da_p, where dth_p/dl_pq = -sinh(l_opp(p))
         # cosh(th_q) / A and dl_pq/da_p = -(cos a_q + e_pq cos a_p)
         # / (sinh(l_pq) sin(a_p)^2 sin(a_q)); the two signs cancel exactly.
-        s_opp = sh.take(_R, -1)
-        ch = np.cosh(arcs)
-
-        def term(q, e):
-            dl = (ca.take(q, -1) + eta.take(e, 1) * ca) / (sh.take(e, -1) * s2 * sa.take(q, -1))
-            return (inv_A * (s_opp * ch.take(q, -1))) * dl
-
-        diag = term(_Q1, _E1) + term(_Q2, _E2)
-        J = np.concatenate((diag, off), axis=-1).take(_BLOCK, -1).reshape(a.shape + (3,))
-        if not np.isfinite(J.sum()):
+        dl = (ca.take(_QQ, 0) + eta.take(_EE, 0) * ca) / (sh.take(_EE, 0) * s2 * sa.take(_QQ, 0))
+        terms = ((1.0 / A) * (sh.take(_R, 0) * np.cosh(arcs).take(_QQ, 0))) * dl
+        J = _c_layout(np.concatenate((terms[0] + terms[1], off)).take(_BLOCK, 0))
+        J = J.reshape(lengths.shape + (3,))
+        if not math.isfinite(J.sum()):
             _check_faces(face_ids, (("angle Jacobian", J.reshape(J.shape[:-2] + (9,)), False),))
-    return FaceValues(lengths, arcs, A, J)
+    return FaceValues(lengths, _c_layout(arcs), _c_layout(A), J)

@@ -9,6 +9,7 @@ from hexflow import (
     ConformalFactor,
     Edge,
     Face,
+    HexflowError,
     NotAttained,
     Surface,
     curvature,
@@ -17,6 +18,7 @@ from hexflow import (
     save_factor,
     save_surface,
 )
+from hexflow import cli
 from hexflow.cli import main
 from hexflow.conformal import curvature_dump
 from hexflow.jsonio import dumps
@@ -315,11 +317,15 @@ WRITE_OPTIONS = [
 ]
 
 
+def computation_started(*args, **kwargs):
+    raise AssertionError("the computation started")
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
 @pytest.mark.parametrize("command, option, kind", WRITE_OPTIONS,
                          ids=[f"{c}{o}" for c, o, _ in WRITE_OPTIONS])
 def test_unwritable_output_exits_2(pants_path, factor_file, target_file, tmp_path, capsys,
-                                   command, option, kind, where):
+                                   monkeypatch, command, option, kind, where):
     alpha = [math.pi / 6] * 3
     K = curvature(load_surface(pants_path), ConformalFactor(alpha)).K
     inputs = {
@@ -328,9 +334,48 @@ def test_unwritable_output_exits_2(pants_path, factor_file, target_file, tmp_pat
         "solve": [pants_path, factor_file(alpha), target_file(K.tolist())],
         "volume": ["--eta", "0", "0", "0", "--base", "0.5", "0.5", "0.5", "--grid-step", "0.5"],
     }[command]
+    # the output paths are checked before the computation starts
+    for name in ("run_flow", "solve_prescribed", "volume_grid", "curvature_dump"):
+        monkeypatch.setattr(cli, name, computation_started)
+    # flow and solve also get their other output, at a path that can be written
+    other = {"flow": {"--trace": "--out", "--out": "--trace"},
+             "solve": {"--log": "--out", "--out": "--log"}}.get(command, {}).get(option)
+    other_args = [other, str(tmp_path / "writable")] if other else []
+    before = sorted(tmp_path.rglob("*"))
     path = tmp_path / "missing" / "out" if where == "missing-dir" else tmp_path
-    assert main([command, *inputs, option, str(path)]) == 2
+    assert main([command, *inputs, option, str(path), *other_args]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {kind} file {path}: ")
+    assert sorted(tmp_path.rglob("*")) == before  # no output, not even the writable one
+
+
+@pytest.mark.parametrize("command, first", [("flow", "--trace"), ("solve", "--log")])
+def test_failed_write_removes_the_written_outputs(pants_path, factor_file, target_file, tmp_path,
+                                                  capsys, monkeypatch, command, first):
+    # the paths pass the check, then the second write fails: the first file goes too
+    def fail(factor, path):
+        raise HexflowError(f"cannot write factor file {path}: disk full")
+
+    monkeypatch.setattr(cli, "save_factor", fail)
+    alpha = [math.pi / 6] * 3
+    K = curvature(load_surface(pants_path), ConformalFactor(alpha)).K
+    inputs = [pants_path, factor_file(alpha), target_file(K.tolist())]
+    written, out = tmp_path / "first.csv", tmp_path / "out.json"
+    assert main([command, *inputs, first, str(written), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write factor file {out}: disk full\n"
+    assert not written.exists() and not out.exists()
+
+
+def test_unwritable_output_wins_over_a_failed_run(pants_path, factor_file, target_file, tmp_path,
+                                                  capsys):
+    # one step cannot converge (exit 4), but the missing directory is found first
+    alpha = [math.pi / 6] * 3
+    inputs = [pants_path, factor_file(alpha), target_file([2.0, 2.0, 2.0])]
+    assert main(["flow", *inputs, "--max-steps", "1"]) == 4
+    capsys.readouterr()
+    path = tmp_path / "missing" / "out.json"
+    assert main(["flow", *inputs, "--max-steps", "1", "--out", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write factor file {path}: "
+                                       "No such file or directory\n")
 
 
 def test_file_errors_name_the_path_once(pants_path, factor_file, tmp_path, capsys):
@@ -481,6 +526,34 @@ class TestVolume:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_no_admissible_grid_point(self, tmp_path):
+        # every tick pair sums past acos(0.9): the base row alone
+        out = tmp_path / "vol.csv"
+        args = ["volume", "--eta", "-0.9", "-0.9", "-0.9", "--base", "0.2", "0.2", "0.2",
+                "--grid-step", "0.3", "--out", str(out)]
+        assert main(args) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "alpha_i,alpha_j,alpha_k,volume,hess_eig_min,hess_eig_max"
+        assert len(lines) == 2 and lines[1].startswith("0.2,0.2,0.2,0.0,")
+
+
+# sha256 of the CSVs of the benchmark's three volume grids (base 0.3 0.3 0.3,
+# grid step pi/20), as the row-by-row writer wrote them
+VOLUME_SHA256 = {
+    ("0", "0", "0"): "8a57cbf35adbe735b216b7438863cca5936eaaea898b2ae1076cd8103eebb362",
+    ("1.5", "1.5", "1.5"): "5858c5dfaba1100323c4ceba28ae9a0a473d17d671e2160d9d83a7028ba0c668",
+    ("-0.5", "1", "1"): "296e6c670dceee89f35a299b895709748b34e83fdebdbed3a11ed46c5201cf77",
+}
+
+
+@pytest.mark.parametrize("eta", sorted(VOLUME_SHA256), ids="_".join)
+def test_volume_csv_digests(eta, tmp_path):
+    out = tmp_path / "vol.csv"
+    args = ["volume", "--eta", *eta, "--base", "0.3", "0.3", "0.3",
+            "--grid-step", repr(math.pi / 20), "--out", str(out)]
+    assert main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VOLUME_SHA256[eta]
 
 
 @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])

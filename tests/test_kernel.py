@@ -19,6 +19,7 @@ from hexflow import (
     curvature,
     face_jacobian_closed,
     face_metric,
+    factor_margins,
     global_jacobian,
     volume_gradient,
     volume_hessian,
@@ -27,7 +28,7 @@ from hexflow.conformal import _segment_curvature_integral
 from hexflow.kernel import face_arcs, face_kernel
 from hexflow.quadrature import line_integral
 from hexflow.tolerances import QUAD_INIT_NODES, QUAD_MAX_NODES, QUAD_REL_TOL
-from conftest import SURFACE_FILES, load, reference_factor
+from conftest import SURFACE_FILES, load, reference_factor, torus
 
 RTOL = 1e-13
 NEAR_MARGIN = 1e-6
@@ -129,6 +130,71 @@ def test_batch_axes_match_single_points():
         one = face_kernel(batch[b][s.corners], s.etas, jacobian=True)
         for name in ("lengths", "arcs", "A", "jacobian"):
             assert relative_error(getattr(got, name)[b], getattr(one, name)) <= RTOL
+
+
+# The kernel computes slot-major but returns C-ordered (..., F, k) arrays:
+# the bincount and matmul reductions downstream keep their bits only then.
+FIELDS = ("lengths", "arcs", "A", "jacobian")
+
+
+def near_reference_batch(s, shape, seed=0):
+    """Admissible factors of batch shape `shape`, within 2% of the reference
+    factor component by component."""
+    rng = np.random.default_rng(seed)
+    spread = 0.02 * rng.uniform(-1.0, 1.0, shape + (s.n_boundary,))
+    alpha = reference_factor(s).alpha * (1.0 + spread)
+    assert (factor_margins(s, alpha) > 0.1).all()
+    return alpha
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (4, 2)], ids=["one-point", "batch", "batch-2d"])
+@pytest.mark.parametrize("jacobian", [False, True], ids=["no-J", "J"])
+def test_kernel_outputs_are_c_contiguous(batch, jacobian):
+    s = load("f2", "mixed")
+    F = len(s.face_ids)
+    got = face_kernel(near_reference_batch(s, batch)[..., s.corners], s.etas, jacobian)
+    shapes = {"lengths": (F, 3), "arcs": (F, 3), "A": (F,), "jacobian": (F, 3, 3)}
+    for name in FIELDS if jacobian else FIELDS[:3]:
+        x = getattr(got, name)
+        assert x.shape == batch + shapes[name], name
+        assert x.flags.c_contiguous, name
+    assert jacobian or got.jacobian is None
+
+
+@pytest.mark.parametrize("surface", ["f2_sixhex_mixed", "torus_m8"])
+@pytest.mark.parametrize("jacobian", [False, True], ids=["no-J", "J"])
+def test_batch_equals_single_points_bit_for_bit(surface, jacobian):
+    s = load("f2", "mixed") if surface == "f2_sixhex_mixed" else torus(8)
+    alpha = near_reference_batch(s, (64, 32))
+    got = face_kernel(alpha[..., s.corners], s.etas, jacobian)
+    singles = [face_kernel(a[s.corners], s.etas, jacobian) for a in alpha.reshape(-1, s.n_boundary)]
+    for name in FIELDS if jacobian else FIELDS[:3]:
+        one_by_one = np.array([getattr(v, name) for v in singles])
+        assert np.array_equal(getattr(got, name), one_by_one.reshape(getattr(got, name).shape)), name
+
+
+def test_face_arcs_batch_equals_single_lengths():
+    s = load("f2", "mixed")
+    lengths = face_kernel(near_reference_batch(s, (16,))[..., s.corners], s.etas).lengths
+    with np.errstate(all="ignore"):
+        got = face_arcs(lengths)
+        singles = [face_arcs(L) for L in lengths]
+    for k, name in enumerate(("sinh", "arcs", "A")):
+        assert got[k].flags.c_contiguous, name
+        assert np.array_equal(got[k], np.array([one[k] for one in singles])), name
+
+
+@pytest.mark.parametrize("bad, what", [
+    (0.0, "edge length"), (-0.0, "edge length"), (-1.0, "edge length"),
+    (math.inf, "edge length"), (math.nan, "edge length"),
+    (1e-320, "boundary arc"), (800.0, "boundary arc"),
+])
+def test_face_arcs_names_the_failing_face(bad, what):
+    # three faces; only the middle one has a side that fails
+    lengths = np.full((3, 3), 1.0)
+    lengths[1, 2] = bad
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match=f"^face 1: {what} not"):
+        face_arcs(lengths)
 
 
 def test_segment_integral_matches_scalar_oracle():
