@@ -167,8 +167,8 @@ def cmd_solve(args) -> int:
     result, log = solve_prescribed(surface, factor, Kbar, cfg)
     _write_all((args.log, lambda path: write(path, log.to_csv(), "log")),
                (args.out, lambda path: save_factor(result, path)))
-    last = log.rows[-1]
-    print(f"status={log.status} iters={last[0]} resid_inf={_fmt(last[1])}")
+    print(f"status={log.status} iters={log.last('iter')} "
+          f"resid_inf={_fmt(log.last('resid_inf'))}")
     return EXIT_OK if log.status == CONVERGED else EXIT_NONCONVERGED
 
 

@@ -25,9 +25,9 @@ whose J is not positive definite ends with JacobianNotPD.  Each step has
 two guards: the proposed point must stay inside the open angle box with
 every edge margin at least STEP_MARGIN, and the quadratic curvature error
 must not increase.  A rejected step shrinks dt by STEP_SHRINK and solves
-again, as the implicit step is not linear in dt.  The Newton solver's line
-search is the same guarded step with an Armijo test in place of
-monotonicity.  The step-control constants live in `hexflow.tolerances`.
+again, as the implicit step is not linear in dt.  Newton's line search is
+the same guarded step; along its direction the energy's slope is -|r|^2.
+The step-control constants live in `hexflow.tolerances`.
 
 Each trial that passes the guard's box and margin test is evaluated once,
 by one `curvature` call that also gives J; the accepted trial's K and J
@@ -35,10 +35,9 @@ drive the next step.  The guard rejects without raising, and curvature
 keeps its own gate (ADMISSIBILITY_EPS) as the public entry's check.
 
 Flows and the Newton solver record one `RunLog` row per accepted step.
-Nothing in a flow reads the potential, so its trace keeps the accepted path
-and computes the potential column, in one batched line integral, when the
-trace is first read; Newton's Armijo test reads the potential and computes
-it as it goes.
+Nothing in either loop reads the potential, so a log keeps the accepted
+path and computes the potential column, in one batched line integral, when
+it is first read.
 """
 
 from __future__ import annotations
@@ -46,11 +45,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse.linalg import splu
 
 from .conformal import (
@@ -61,12 +61,10 @@ from .conformal import (
     default_base_point,
     factor_margin,
     min_eigenvalue,
-    potential,
     _segment_curvature_integral,
 )
 from .errors import DomainError, JacobianNotPD, NotAttained
 from .tolerances import (
-    ARMIJO,
     DENSE_EIG_MAX_N,
     MULTISTART_TOL,
     STEP_FLOOR,
@@ -242,12 +240,12 @@ def _not_pd(A) -> JacobianNotPD:
 
 def _cholesky_solver(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
     """x -> A^-1 x by a Cholesky factorisation of the dense symmetric A, or
-    None unless A is positive definite."""
-    try:
-        factor = scipy.linalg.cho_factor(A, check_finite=False)
-    except np.linalg.LinAlgError:
+    None unless A is positive definite: LAPACK potrf/potrs, the routines
+    behind scipy's cho_factor/cho_solve, without their wrappers' overhead."""
+    factor, info = dpotrf(A, lower=0, clean=0)
+    if info:
         return None
-    return lambda x: scipy.linalg.cho_solve(factor, x, check_finite=False)
+    return lambda x: dpotrs(factor, x, lower=0)[0]
 
 
 def _ldl_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray] | None:
@@ -294,6 +292,14 @@ def _guarded_step(s: Surface, alpha: np.ndarray, move, step: float, accept):
     return None
 
 
+def _no_rise(s: Surface, Kbar: np.ndarray, cal: float, trial: np.ndarray, _step):
+    """The accept test of both loops: evaluate the trial once, K and J, and
+    keep (curvature, Calabi energy) unless its energy exceeds cal."""
+    c = curvature(s, ConformalFactor(trial), jacobian=True)
+    cal_trial = calabi_energy(c.K, Kbar)
+    return None if cal_trial > cal else (c, cal_trial)
+
+
 def run_flow(
     s: Surface, a0: ConformalFactor, Kbar, cfg: FlowConfig
 ) -> tuple[ConformalFactor, RunLog]:
@@ -331,18 +337,13 @@ def run_flow(
     dt = float(cfg.dt0)  # a float, so the trace writes it as one
     t = 0.0
 
-    # read c and cal when called, so they step from the current point
+    # reads c when called, so it steps from the current point
     def move(h):
         return h * velocity(cfg.method, cfg.s, c.K, Kbar, c.jacobian, h)
 
-    def monotone(trial, _):
-        c_trial = curvature(s, ConformalFactor(trial), jacobian=True)
-        cal_trial = calabi_energy(c_trial.K, Kbar)
-        return None if cal_trial > cal else (c_trial, cal_trial)
-
     for step in range(1, cfg.max_steps + 1):
         try:
-            guarded = _guarded_step(s, alpha, move, dt, monotone)
+            guarded = _guarded_step(s, alpha, move, dt, partial(_no_rise, s, Kbar, cal))
         except JacobianNotPD:
             trace.status = JACOBIAN_NOT_PD
             return ConformalFactor(alpha), trace
@@ -371,9 +372,9 @@ def run_flow(
 
 def _path_potential(s: Surface, path: list[np.ndarray], Kbar: np.ndarray) -> list[float]:
     """The potential (for target Kbar, against the default base point) at
-    every point of a flow's path: the line integrals of the segment from the
-    base point to path[0] and of every step, in one batched call, summed in
-    step order."""
+    every point of a flow's or Newton's path: the line integrals of the
+    segment from the base point to path[0] and of every step, in one batched
+    call, summed in step order."""
     base = default_base_point(s).alpha
     ends = np.array(path)
     starts = np.concatenate((base[None], ends[:-1]))
@@ -417,40 +418,38 @@ def solve_prescribed(
     """Damped Newton descent on the convex potential for target boundary
     lengths Kbar.
 
-    Directions are d = -J^-1 (K - Kbar) from `_spd_apply`; a Jacobian that
-    is not positive definite falls back to one plain gradient step before a
-    second consecutive failure raises JacobianNotPD.  Steps backtrack under
-    an Armijo test on the potential with the same box and admissibility
-    guards as the flows.  Persistent line-search failure against the
-    admissible boundary raises NotAttained (no admissible factor realizes
-    this target).  Returns on Converged or MaxIters.
+    Directions are d = -J^-1 r, r = K - Kbar, from `_spd_apply`; steps
+    backtrack under the flows' guards, so the Calabi energy |r|^2 / 2 must
+    not rise, and along d its slope is -|r|^2.  A Jacobian that is not
+    positive definite falls back to one step d = -r, which descends that
+    energy only where J is positive definite (the paper proves it is on the
+    admissible set), before a second consecutive failure raises
+    JacobianNotPD.  Persistent line-search failure against the admissible
+    boundary raises NotAttained (no admissible factor realizes this
+    target).  Returns on Converged or MaxIters.  As in a flow's trace, the
+    log's potential column is pending.
     """
     if cfg is None:
         cfg = NewtonConfig()
     Kbar = _target(s, Kbar)
-    base = default_base_point(s)
     log = RunLog(NEWTON_COLUMNS)
     alpha = a0.alpha.copy()
     c = curvature(s, ConformalFactor(alpha), jacobian=True)
-    pot = potential(s, ConformalFactor(alpha), Kbar, base)
     resid = float(np.max(np.abs(c.K - Kbar)))
-    log.rows.append((0, resid, 0.0, pot, factor_margin(s, alpha), False))
+    cal = calabi_energy(c.K, Kbar)
+    path = [alpha]
+    log.pending = ("potential", lambda: _path_potential(s, path, Kbar))
+    rows = log._rows
+    rows.append((0, resid, 0.0, None, factor_margin(s, alpha), False))
     if resid <= cfg.tol:
         log.status = CONVERGED
         return ConformalFactor(alpha), log
 
-    # reads alpha and slope when called, so it uses the current iteration's
-    def armijo(trial, lam):
-        dpot = _segment_curvature_integral(s, alpha, trial) - float(
-            Kbar @ (trial - alpha)
-        )
-        return dpot if dpot <= ARMIJO * lam * slope else None
-
     fallback = False
     for it in range(1, cfg.max_iters + 1):
-        grad = c.K - Kbar
+        r = c.K - Kbar
         try:
-            d = -_spd_apply(c.jacobian, grad, -1)
+            d = -_spd_apply(c.jacobian, r, -1)
             fallback = False
         except JacobianNotPD as exc:
             if fallback:  # the previous iteration fell back too
@@ -459,10 +458,9 @@ def solve_prescribed(
                     f"iterations, min eigenvalue {exc.min_eigenvalue:.3e}",
                     min_eigenvalue=exc.min_eigenvalue,
                 ) from None
-            d, fallback = -grad, True
+            d, fallback = -r, True
 
-        slope = float(grad @ d)
-        guarded = _guarded_step(s, alpha, lambda lam: lam * d, 1.0, armijo)
+        guarded = _guarded_step(s, alpha, lambda lam: lam * d, 1.0, partial(_no_rise, s, Kbar, cal))
         if guarded is None:
             log.status = NOT_ATTAINED
             raise NotAttained(
@@ -471,11 +469,10 @@ def solve_prescribed(
                 "no admissible factor appears to realize this target",
                 log=log,
             )
-        alpha, lam, margin, dpot = guarded
-        pot += dpot
-        c = curvature(s, ConformalFactor(alpha), jacobian=True)
+        alpha, lam, margin, (c, cal) = guarded
+        path.append(alpha)
         resid = float(np.max(np.abs(c.K - Kbar)))
-        log.rows.append((it, resid, lam, pot, margin, fallback))
+        rows.append((it, resid, lam, None, margin, fallback))
         if resid <= cfg.tol:
             log.status = CONVERGED
             return ConformalFactor(alpha), log

@@ -37,15 +37,13 @@ BATCH_FACE_EVALS = 2048
 
 # Step control shared by the flows (dt) and the Newton line search (step
 # length).  A trial step is shrunk by STEP_SHRINK until it stays inside the
-# open angle box with every edge margin at least STEP_MARGIN and passes the
-# caller's test (monotone Calabi energy for flows, the Armijo condition with
-# constant ARMIJO for Newton); below STEP_FLOOR the step has stalled.  The
-# flows' linearly implicit Euler step is A-stable, so dt has no cap: it
-# grows by 1 / STEP_SHRINK after every accepted step (and stays finite).
+# open angle box with every edge margin at least STEP_MARGIN and its Calabi
+# energy does not rise; below STEP_FLOOR the step has stalled.  The flows'
+# linearly implicit Euler step is A-stable, so dt has no cap: it grows by
+# 1 / STEP_SHRINK after every accepted step (and stays finite).
 STEP_SHRINK = 0.5
 STEP_MARGIN = 1e-9
 STEP_FLOOR = 1e-14
-ARMIJO = 1e-4
 
 # Largest n for which the linear algebra of J is dense.  Above it,
 # `GlobalJacobian.min_eigenvalue` is an iterative extremal estimate, and

@@ -258,6 +258,28 @@ class TestSolve:
         assert np.abs(np.array(sol["alpha"]) - abar).max() < 1e-8
         assert "# status=Converged" in log.read_text()
 
+    @pytest.mark.parametrize("log", [False, True], ids=["no-log", "log"])
+    def test_integrates_only_for_the_log(self, pants_path, factor_file, target_file, tmp_path,
+                                         monkeypatch, capsys, log):
+        # the log's potential column is pending: only writing it integrates
+        import hexflow.conformal
+
+        calls = []
+        line_integral = hexflow.conformal.line_integral
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return line_integral(*args, **kwargs)
+
+        monkeypatch.setattr(hexflow.conformal, "line_integral", counting)
+        s = load_surface(fixture_path("f1", "eta0"))
+        tpath = target_file(curvature(s, ConformalFactor(np.array([0.5, 0.45, 0.4]))).K)
+        fpath = factor_file([math.pi / 6] * 3)
+        extra = ["--log", str(tmp_path / "log.csv")] if log else []
+        assert main(["solve", pants_path, fpath, tpath, *extra]) == 0
+        assert capsys.readouterr().out.startswith("status=Converged iters=")
+        assert (len(calls) > 0) == log
+
     def test_two_starts_agree(self, pants_path, factor_file, target_file, tmp_path):
         s = load_surface(fixture_path("f1", "eta0"))
         Kbar = curvature(s, ConformalFactor(np.array([0.5, 0.45, 0.4]))).K

@@ -36,6 +36,7 @@ from hexflow.solve import (
     MAX_ITERS,
     MAX_STEPS,
     STALLED_STEP,
+    _cholesky_solver,
     _guarded_step,
     _spd_apply,
 )
@@ -98,6 +99,30 @@ class TestSpdApply:
         with pytest.raises(JacobianNotPD) as err:
             _spd_apply(np.diag([1.0, -2.0]), self.R[:2], p)
         assert err.value.min_eigenvalue == -2.0
+
+
+class TestCholeskySolver:
+    """The dense Cholesky calls LAPACK potrf/potrs itself: the same bits as
+    scipy's cho_factor/cho_solve, and None for a matrix that is not positive
+    definite."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 17, 64])
+    def test_matches_cho_solve(self, n):
+        rng = np.random.default_rng(n)
+        B = rng.standard_normal((n, n))
+        A = B @ B.T + n * np.eye(n)
+        x = rng.standard_normal(n)
+        expect = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, check_finite=False), x,
+                                        check_finite=False)
+        A_before = A.copy()
+        got = _cholesky_solver(A)(x)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(A, A_before)  # A is not overwritten
+
+    @pytest.mark.parametrize("A", [np.diag([1.0, -2.0, 3.0]), np.ones((3, 3))],
+                             ids=["indefinite", "singular"])
+    def test_not_pd_is_none(self, A):
+        assert _cholesky_solver(A) is None
 
 
 class TestShiftedSpdApply:
@@ -561,9 +586,11 @@ class TestNewton:
     def test_not_attained_on_persistent_line_search_failure(self, pants, monkeypatch):
         a0 = reference_factor(pants)
         Kbar = curvature(pants, a0).K * 1.5
-        # force every trial step to look like a potential increase
+        # every energy read is larger than the one before: each trial step
+        # looks like a rise of the Calabi energy
+        energies = itertools.count()
         monkeypatch.setattr(
-            hexflow.solve, "_segment_curvature_integral", lambda s, x, y: 1.0
+            hexflow.solve, "calabi_energy", lambda K, Kbar: float(next(energies))
         )
         with pytest.raises(NotAttained) as err:
             solve_prescribed(pants, a0, Kbar)
@@ -593,8 +620,8 @@ class TestNewton:
 
 class TestOneEvaluationPerPoint:
     """Every point a flow or Newton visits runs the kernel once: the kernel
-    calls equal solve's curvature calls, plus, for Newton, the quadrature
-    integrand calls of its initial potential and Armijo tests."""
+    calls equal solve's curvature calls, and neither loop integrates until
+    its log is read."""
 
     @staticmethod
     def count(monkeypatch) -> Counter:
@@ -633,5 +660,9 @@ class TestOneEvaluationPerPoint:
         calls = self.count(monkeypatch)
         _, log = solve_prescribed(sixhex_mixed, a0, Kbar)
         assert log.status == CONVERGED
+        assert calls["integrand"] == 0
+        assert calls["kernel"] == calls["curvature"]
+        # reading the log integrates its potential column
         assert calls["curvature"] == len(log.rows) > 2
         assert calls["kernel"] == calls["curvature"] + calls["integrand"]
+        assert calls["integrand"] > 0
