@@ -16,28 +16,28 @@ any other p.  At h = 0 it is J^p r: the flows' right-hand side and Newton's
 direction.  s = 0 and s = 1 reach the ricci and calabi arms, so those
 traces agree bit for bit.
 
-Time stepping is linearly implicit (Rosenbrock) Euler,
-a <- a + dt v with v = -(I + dt J^(p+1))^-1 J^p r, which linearises the
-flow as da/dt = -J^(p+1) (a - a*) and is A-stable there: dt grows by
+Flows and Newton are one descent loop, `_descend`, with two moves.  The
+loop evaluates the current point once, by one `curvature` call that also
+gives J, and the move proposes a displacement for each step: a flow's is
+h v(h) with v(h) = -(I + h J^(p+1))^-1 J^p r, a linearly implicit
+(Rosenbrock) Euler step from h = dt, and Newton's is lam d from lam = 1.
+`_guarded_step` shrinks the step by STEP_SHRINK until the trial stays
+inside the open angle box with every edge margin at least STEP_MARGIN and
+its Calabi energy |r|^2 / 2 does not rise; the accepted trial's K and J
+drive the next move.  The flow's move is not linear in h, so each trial
+solves again.  The implicit step linearises the flow as
+da/dt = -J^(p+1) (a - a*) and is A-stable there: dt grows by
 1 / STEP_SHRINK after every accepted step, without a cap, and as dt grows
 the step tends to Newton's.  Every flow therefore reads J, and a ricci flow
-whose J is not positive definite ends with JacobianNotPD.  Each step has
-two guards: the proposed point must stay inside the open angle box with
-every edge margin at least STEP_MARGIN, and the quadratic curvature error
-must not increase.  A rejected step shrinks dt by STEP_SHRINK and solves
-again, as the implicit step is not linear in dt.  Newton's line search is
-the same guarded step; along its direction the energy's slope is -|r|^2.
-The step-control constants live in `hexflow.tolerances`.
+whose J is not positive definite ends with JacobianNotPD.  Along Newton's
+direction the energy's slope is -|r|^2.  The guard rejects without
+raising, and curvature keeps its own gate (ADMISSIBILITY_EPS) as the
+public entry's check.  The step-control constants live in
+`hexflow.tolerances`.
 
-Each trial that passes the guard's box and margin test is evaluated once,
-by one `curvature` call that also gives J; the accepted trial's K and J
-drive the next step.  The guard rejects without raising, and curvature
-keeps its own gate (ADMISSIBILITY_EPS) as the public entry's check.
-
-Flows and the Newton solver record one `RunLog` row per accepted step.
-Nothing in either loop reads the potential, so a log keeps the accepted
-path and computes the potential column, in one batched line integral, when
-it is first read.
+The loop records one `RunLog` row per accepted step.  Nothing in it reads
+the potential, so a log keeps the accepted path and computes the potential
+column, in one batched line integral, when it is first read.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -170,7 +169,9 @@ def velocity(method: str, s: float, K, Kbar, J=None, dt: float = 0.0) -> np.ndar
     At dt = 0 it is the flow's right-hand side -J^p (K - Kbar), and for
     dt > 0 the linearly implicit Euler velocity of step dt.  `_spd_apply`
     computes it, so s = 0 and s = 1 take the ricci and calabi arithmetic
-    exactly."""
+    exactly.  dt must be non-negative and finite."""
+    if not 0.0 <= dt < math.inf:
+        raise DomainError(f"dt must be non-negative and finite, not {dt!r}")
     r = np.asarray(K, dtype=float) - np.asarray(Kbar, dtype=float)
     return -_spd_apply(J, r, _flow_power(method, s), dt)
 
@@ -292,12 +293,46 @@ def _guarded_step(s: Surface, alpha: np.ndarray, move, step: float, accept):
     return None
 
 
-def _no_rise(s: Surface, Kbar: np.ndarray, cal: float, trial: np.ndarray, _step):
-    """The accept test of both loops: evaluate the trial once, K and J, and
-    keep (curvature, Calabi energy) unless its energy exceeds cal."""
-    c = curvature(s, ConformalFactor(trial), jacobian=True)
-    cal_trial = calabi_energy(c.K, Kbar)
-    return None if cal_trial > cal else (c, cal_trial)
+def _descend(s: Surface, path: list[np.ndarray], Kbar: np.ndarray, log: RunLog, tol: float,
+             budget: int, propose, row) -> str:
+    """Descend from path[0] toward curvature Kbar, appending each accepted
+    point to path and its row to log, whose potential column is pending.
+    Returns why the descent stopped: CONVERGED, MAX_STEPS (budget moves
+    made) or STALLED_STEP (the guard rejected every step of a move).
+
+    propose(c, step) gives the move (step -> displacement) from the point
+    evaluated as c, and its first step; step is the one that reached the
+    point, 0.0 at path[0].  row(k, t, step, resid, cal, margin) makes row
+    k, with t the sum of the accepted steps (kept finite), resid the largest
+    |K - Kbar|, cal the Calabi energy and margin the smallest edge margin.
+    """
+    alpha = path[0]
+    c = curvature(s, ConformalFactor(alpha), jacobian=True)  # raises if path[0] inadmissible
+    resid = float(np.max(np.abs(c.K - Kbar)))
+    cal = calabi_energy(c.K, Kbar)
+    log.pending = ("potential", lambda: _path_potential(s, path, Kbar))
+    k, t, step = 0, 0.0, 0.0
+    log._rows.append(row(k, t, step, resid, cal, factor_margin(s, alpha)))
+
+    def no_rise(trial, _step):
+        trial_c = curvature(s, ConformalFactor(trial), jacobian=True)
+        trial_cal = calabi_energy(trial_c.K, Kbar)
+        return None if trial_cal > cal else (trial_c, trial_cal)
+
+    while not resid <= tol:  # a NaN residual has not converged
+        if k == budget:
+            return MAX_STEPS
+        k += 1
+        move, step = propose(c, step)
+        guarded = _guarded_step(s, alpha, move, step, no_rise)
+        if guarded is None:
+            return STALLED_STEP
+        alpha, step, margin, (c, cal) = guarded
+        path.append(alpha)
+        t = min(t + step, sys.float_info.max)
+        resid = float(np.max(np.abs(c.K - Kbar)))
+        log._rows.append(row(k, t, step, resid, cal, margin))
+    return CONVERGED
 
 
 def run_flow(
@@ -321,53 +356,24 @@ def run_flow(
     Kbar = _target(s, Kbar)
     trace = RunLog(TRACE_COLUMNS, structure_condition=structure_condition_holds(s))
 
-    alpha = a0.alpha.copy()
-    c = curvature(s, ConformalFactor(alpha), jacobian=True)  # raises if a0 inadmissible
-    resid = float(np.max(np.abs(c.K - Kbar)))
-    cal = calabi_energy(c.K, Kbar)
-    path = [alpha]
-    trace.pending = ("potential", lambda: _path_potential(s, path, Kbar))
-    rows = trace._rows
-    rows.append((0, 0.0, 0.0, resid, cal, None, factor_margin(s, alpha)))
+    def propose(c, step):
+        # dt doubles after every accepted step; float(), so the trace writes dt0 as one
+        dt = min(step / STEP_SHRINK, sys.float_info.max) if step else float(cfg.dt0)
+        return (lambda h: h * velocity(cfg.method, cfg.s, c.K, Kbar, c.jacobian, h)), dt
 
-    if resid <= cfg.tol:
-        trace.status = CONVERGED
-        return ConformalFactor(alpha), trace
+    def row(k, t, dt, resid, cal, margin):
+        return (k, t, dt, resid, cal, None, margin)
 
-    dt = float(cfg.dt0)  # a float, so the trace writes it as one
-    t = 0.0
-
-    # reads c when called, so it steps from the current point
-    def move(h):
-        return h * velocity(cfg.method, cfg.s, c.K, Kbar, c.jacobian, h)
-
-    for step in range(1, cfg.max_steps + 1):
-        try:
-            guarded = _guarded_step(s, alpha, move, dt, partial(_no_rise, s, Kbar, cal))
-        except JacobianNotPD:
-            trace.status = JACOBIAN_NOT_PD
-            return ConformalFactor(alpha), trace
-        except DomainError:
-            if step == 1:
-                raise
-            trace.status = STALLED_STEP
-            return ConformalFactor(alpha), trace
-        if guarded is None:
-            trace.status = STALLED_STEP
-            return ConformalFactor(alpha), trace
-        alpha, dt, margin, (c, cal) = guarded
-        path.append(alpha)
-        t = min(t + dt, sys.float_info.max)
-        resid = float(np.max(np.abs(c.K - Kbar)))
-        rows.append((step, t, dt, resid, cal, None, margin))
-
-        if resid <= cfg.tol:
-            trace.status = CONVERGED
-            return ConformalFactor(alpha), trace
-        dt = min(dt / STEP_SHRINK, sys.float_info.max)
-
-    trace.status = MAX_STEPS
-    return ConformalFactor(alpha), trace
+    path = [a0.alpha.copy()]
+    try:
+        trace.status = _descend(s, path, Kbar, trace, cfg.tol, cfg.max_steps, propose, row)
+    except JacobianNotPD:
+        trace.status = JACOBIAN_NOT_PD
+    except DomainError:
+        if len(path) == 1:  # at a0: a malformed input
+            raise
+        trace.status = STALLED_STEP
+    return ConformalFactor(path[-1]), trace
 
 
 def _path_potential(s: Surface, path: list[np.ndarray], Kbar: np.ndarray) -> list[float]:
@@ -419,34 +425,24 @@ def solve_prescribed(
     lengths Kbar.
 
     Directions are d = -J^-1 r, r = K - Kbar, from `_spd_apply`; steps
-    backtrack under the flows' guards, so the Calabi energy |r|^2 / 2 must
-    not rise, and along d its slope is -|r|^2.  A Jacobian that is not
-    positive definite falls back to one step d = -r, which descends that
-    energy only where J is positive definite (the paper proves it is on the
-    admissible set), before a second consecutive failure raises
-    JacobianNotPD.  Persistent line-search failure against the admissible
-    boundary raises NotAttained (no admissible factor realizes this
-    target).  Returns on Converged or MaxIters.  As in a flow's trace, the
-    log's potential column is pending.
+    backtrack in the flows' loop, `_descend`, so the Calabi energy
+    |r|^2 / 2 must not rise, and along d its slope is -|r|^2.  A Jacobian
+    that is not positive definite falls back to one step d = -r, which
+    descends that energy only where J is positive definite (the paper
+    proves it is on the admissible set), before a second consecutive
+    failure raises JacobianNotPD.  Persistent line-search failure against
+    the admissible boundary raises NotAttained (no admissible factor
+    realizes this target).  Returns on Converged or MaxIters.  As in a
+    flow's trace, the log's potential column is pending.
     """
     if cfg is None:
         cfg = NewtonConfig()
     Kbar = _target(s, Kbar)
     log = RunLog(NEWTON_COLUMNS)
-    alpha = a0.alpha.copy()
-    c = curvature(s, ConformalFactor(alpha), jacobian=True)
-    resid = float(np.max(np.abs(c.K - Kbar)))
-    cal = calabi_energy(c.K, Kbar)
-    path = [alpha]
-    log.pending = ("potential", lambda: _path_potential(s, path, Kbar))
-    rows = log._rows
-    rows.append((0, resid, 0.0, None, factor_margin(s, alpha), False))
-    if resid <= cfg.tol:
-        log.status = CONVERGED
-        return ConformalFactor(alpha), log
-
     fallback = False
-    for it in range(1, cfg.max_iters + 1):
+
+    def propose(c, _step):
+        nonlocal fallback
         r = c.K - Kbar
         try:
             d = -_spd_apply(c.jacobian, r, -1)
@@ -459,26 +455,23 @@ def solve_prescribed(
                     min_eigenvalue=exc.min_eigenvalue,
                 ) from None
             d, fallback = -r, True
+        return (lambda lam: lam * d), 1.0
 
-        guarded = _guarded_step(s, alpha, lambda lam: lam * d, 1.0, partial(_no_rise, s, Kbar, cal))
-        if guarded is None:
-            log.status = NOT_ATTAINED
-            raise NotAttained(
-                f"line search stalled at iteration {it} with residual "
-                f"{resid:.3e} and min margin {factor_margin(s, alpha):.3e}; "
-                "no admissible factor appears to realize this target",
-                log=log,
-            )
-        alpha, lam, margin, (c, cal) = guarded
-        path.append(alpha)
-        resid = float(np.max(np.abs(c.K - Kbar)))
-        rows.append((it, resid, lam, None, margin, fallback))
-        if resid <= cfg.tol:
-            log.status = CONVERGED
-            return ConformalFactor(alpha), log
+    def row(k, _t, lam, resid, _cal, margin):
+        return (k, resid, lam, None, margin, fallback)
 
-    log.status = MAX_ITERS
-    return ConformalFactor(alpha), log
+    path = [a0.alpha.copy()]
+    why = _descend(s, path, Kbar, log, cfg.tol, cfg.max_iters, propose, row)
+    if why == STALLED_STEP:
+        log.status = NOT_ATTAINED
+        raise NotAttained(
+            f"line search stalled at iteration {log.last('iter') + 1} with residual "
+            f"{log.last('resid_inf'):.3e} and min margin {log.last('min_margin'):.3e}; "
+            "no admissible factor appears to realize this target",
+            log=log,
+        )
+    log.status = MAX_ITERS if why == MAX_STEPS else why
+    return ConformalFactor(path[-1]), log
 
 
 def solve_prescribed_multistart(

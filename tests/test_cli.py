@@ -905,3 +905,66 @@ def test_run_output_digests(name, run, tmp_path, capsys):
     assert main(argv) == 0
     outputs = (log.read_bytes(), out.read_bytes(), capsys.readouterr().out.encode())
     assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == RUN_SHA256[name, run]
+
+
+# Runs that end without converging, on the zero-weight pants from
+# alpha = (0.5, 0.6, 0.7): the command, the target and the options after
+# the three input files.
+TERMINAL_RUNS = {
+    "flow_max_steps_0": ("flow", [1.2, 1.3, 1.4], ("--max-steps", "0")),
+    "solve_max_iters_0": ("solve", [1.2, 1.3, 1.4], ("--max-iters", "0")),
+    "flow_far_target": ("flow", [1e6, 1.0, 1.0], ()),
+    "solve_far_target": ("solve", [1e6, 1.0, 1.0], ()),
+    "solve_tiny_tol": ("solve", [1.2, 1.3, 1.4], ("--tol", "1e-300", "--max-iters", "20")),
+}
+
+# The exit code and the sha256 of stdout, stderr and the trace (or log) of
+# each run; None where the run writes no log (NotAttained exits 6 and
+# writes nothing).
+TERMINAL_SHA256 = {
+    "flow_far_target": (
+        4,
+        "3ed1d7512e8d7d7ec00728edd95ae074c30afedb822a695dee7518c86812cf0c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "eacdaf8dbbdc6cd7d4085690ddeefd53fdca331d7c4224043c1998075982ff82",
+    ),
+    "flow_max_steps_0": (
+        4,
+        "2564434465b8cfa99b737934ed29f393cd619620fd479ed0652b011ee90ea939",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "54f1808b99fafb746fbe8f7f8440de9f3919932a154be1ed0ad78ff3efcaf368",
+    ),
+    "solve_far_target": (
+        6,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "102f251ac8a25c94bbb51ad88131ffb04d62d3f2fd7908257ea41de6dd5fb4b1",
+        None,
+    ),
+    "solve_max_iters_0": (
+        4,
+        "2d976ffec6e01ae7c51984988fed76bb9592aebb375520473906d8c08515552b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d00bd90c6001bcb9f440553a8c4b3cb656e46485feda3bc1d433262989efa6f9",
+    ),
+    "solve_tiny_tol": (
+        4,
+        "4ef0d63329db851fd39eb787fd25cced9b431d66b3fff19e45dfb277f9f7f70c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "518e4812fc4e923f62c571a616b3810e542c5c5d9c47b32fe4d21c7a3dcfdfa3",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(TERMINAL_RUNS))
+def test_terminal_run_digests(run, pants_path, factor_file, target_file, tmp_path, capsys):
+    command, K, options = TERMINAL_RUNS[run]
+    log = tmp_path / "log.csv"
+    log_option = "--log" if command == "solve" else "--trace"
+    argv = [command, pants_path, factor_file([0.5, 0.6, 0.7]), target_file(K), *options,
+            log_option, str(log)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    written = hashlib.sha256(log.read_bytes()).hexdigest() if log.exists() else None
+    digests = (code, hashlib.sha256(out.encode()).hexdigest(),
+               hashlib.sha256(err.encode()).hexdigest(), written)
+    assert digests == TERMINAL_SHA256[run]

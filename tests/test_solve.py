@@ -329,6 +329,14 @@ class TestVelocity:
         with pytest.raises(DomainError):
             velocity("yamabe", 0.0, K, Kbar, J)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -0.5])
+    @pytest.mark.parametrize("method", ["ricci", "calabi", "fractional"])
+    def test_bad_dt_rejected(self, state, method, dt):
+        # a negative dt would turn the implicit step uphill
+        K, Kbar, J = state
+        with pytest.raises(DomainError, match="dt must be"):
+            velocity(method, 0.5, K, Kbar, J, dt)
+
 
 class TestGuardedStep:
     # From a = (0.3, 0.3, 0.3) on the zero-weight pants, whose edge margins
@@ -540,6 +548,22 @@ def test_flow_step_budget(fixture, profile, cfg):
     assert np.abs(result.alpha - a_star).max() < 1e-8
 
 
+
+@pytest.mark.parametrize("at_target", [False, True], ids=["away", "at-target"])
+@pytest.mark.parametrize("solver, cfg, spent", [
+    (run_flow, FlowConfig(max_steps=0), MAX_STEPS),
+    (solve_prescribed, NewtonConfig(max_iters=0), MAX_ITERS),
+], ids=["flow", "newton"])
+def test_zero_budget(pants, solver, cfg, spent, at_target):
+    # no move is made: row 0 only, and the start is returned
+    abar, Kbar, a0 = round_trip_problem(pants)
+    start = abar if at_target else a0
+    result, log = solver(pants, start, Kbar, cfg)
+    assert log.status == (CONVERGED if at_target else spent)
+    assert len(log.rows) == 1 and log.rows[0][0] == 0
+    assert np.array_equal(result.alpha, start.alpha)
+
+
 class TestNewton:
     @pytest.mark.parametrize("fixture", ["f1", "f2"])
     @pytest.mark.parametrize("profile", PROFILES)
@@ -592,10 +616,13 @@ class TestNewton:
         monkeypatch.setattr(
             hexflow.solve, "calabi_energy", lambda K, Kbar: float(next(energies))
         )
+        resid = float(np.max(np.abs(curvature(pants, a0).K - Kbar)))
         with pytest.raises(NotAttained) as err:
             solve_prescribed(pants, a0, Kbar)
         assert err.value.log is not None
         assert err.value.log.status == "NotAttained"
+        # the first line search stalls, at the start's residual
+        assert f"stalled at iteration 1 with residual {resid:.3e} " in str(err.value)
 
     def test_gradient_fallback_then_not_pd(self, pants, monkeypatch):
         a0 = reference_factor(pants)
