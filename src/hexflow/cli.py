@@ -46,7 +46,7 @@ from .hexagon import (
     diagonal_identity_residuals,
     length_jacobian_fd,
 )
-from .jsonio import check_writable, dump, dumps, load, write
+from .jsonio import check_writable, dump, dumps, load, reprs, write
 from .solve import (
     CONVERGED,
     JACOBIAN_NOT_PD,
@@ -240,11 +240,8 @@ def cmd_volume(args) -> int:
     base_eigs = np.linalg.eigvalsh(volume_hessian(chart, base))
     table = np.vstack(([*base.as_tuple(), relative_volume(chart, base), base_eigs[0], base_eigs[-1]],
                        np.column_stack((points, volumes, eigs[:, 0], eigs[:, -1]))))
-    # each distinct value is formatted once, told apart by its bits (-0.0 is not 0.0)
-    bits, cell = np.unique(table.view(np.int64), return_inverse=True)
-    cells = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
-    rows = cells[cell.reshape(table.shape)].tolist()
-    lines = ["alpha_i,alpha_j,alpha_k,volume,hess_eig_min,hess_eig_max", *map(",".join, rows)]
+    rows = map(",".join, reprs(table))
+    lines = ["alpha_i,alpha_j,alpha_k,volume,hess_eig_min,hess_eig_max", *rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         write(args.out, text, "volume")

@@ -1,6 +1,13 @@
+import errno
+import gc
 import hashlib
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +25,11 @@ from hexflow import (
     save_factor,
     save_surface,
 )
-from hexflow import cli
+import hexflow
+from hexflow import ParseError, cli, jsonio
 from hexflow.cli import main
 from hexflow.conformal import curvature_dump
-from hexflow.jsonio import dumps
+from hexflow.jsonio import REPEAT_MIN, dumps, load, reprs, write
 from conftest import FIXTURES, fixture_path, reference_factor
 
 ARCCOSH15 = math.acosh(1.5)
@@ -635,11 +643,129 @@ ENCODER_EDGE_CASES = [
     [True, False], [2**70, -3], ["a", "b"],
     {"3": 1.5, "-1": math.nan}, {"q": [0], "r": {"s": None, "t": False}},
 ]
+# lists one below, at and one above the length from which repeated values
+# are formatted once; ints beyond int64, bools, mixed and non-finite lists
+# take the plain path
+LONG_ITEMS = {
+    "floats": [0.0, -0.0, 5e-324, 1e16, 1e-05, 0.1, -2.5, 0.1, -0.0],
+    "distinct-floats": None,
+    "ints": [0, -1, 7, 2**63 - 1, -2**63, 7],
+    "ints-beyond-int64": [1, 2**63, 1],
+    "ints-below-int64": [-2**63 - 1, 0, 0],
+    "bools": [True, False],
+    "int-float": [1, 2.5, -0.0, 1],
+    "non-finite": [1.0, math.nan, math.inf, 1.0, -math.inf],
+}
+ENCODER_EDGE_CASES += [
+    pytest.param([i * 0.1 for i in range(n)] if items is None else
+                 [items[i % len(items)] for i in range(n)], id=f"{name}-{n}")
+    for n in (REPEAT_MIN - 1, REPEAT_MIN, REPEAT_MIN + 1)
+    for name, items in LONG_ITEMS.items()
+]
 
 
 @pytest.mark.parametrize("value", ENCODER_EDGE_CASES, ids=repr)
 def test_encoder_edge_cases(value):
     assert dumps(value) == json.dumps(value, indent=1)
+
+
+def test_reprs_tells_floats_apart_by_their_bits():
+    assert reprs(np.array([0.0, -0.0, 0.0, 1.5, -0.0])) == ["0.0", "-0.0", "0.0", "1.5", "-0.0"]
+    assert reprs(np.array([3, -2**63, 3])) == ["3", "-9223372036854775808", "3"]
+
+
+def test_encoder_rejects_keys_that_are_not_strings():
+    with pytest.raises(TypeError, match="keys must be str, not int"):
+        dumps({"a": 1, 2: 3})
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("text", ["[1, 2]", "[1, 2"], ids=["valid", "malformed"])
+def test_load_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, enabled, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    seen = []
+    real_load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: seen.append(gc.isenabled()) or real_load(fh))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if text == "[1, 2]":
+            assert load(path, "surface") == [1, 2]
+        else:
+            with pytest.raises(ParseError, match="cannot read surface file"):
+                load(path, "surface")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("command", ["curvature", "volume"])
+def test_output_to_dev_null(pants_path, factor_file, command):
+    # a character device is written but not truncated
+    args = {"curvature": [pants_path, factor_file([math.pi / 6] * 3)],
+            "volume": ["--eta", "0", "0", "0", "--base", "0.5", "0.5", "0.5",
+                       "--grid-step", "0.5"]}[command]
+    assert main([command, *args, "--out", os.devnull]) == 0
+
+
+def test_shorter_rewrite_leaves_only_the_new_bytes(pants_path, factor_file, tmp_path):
+    # the six-hexagon dump, then the shorter pants dump over it
+    reused, fresh = tmp_path / "reused.json", tmp_path / "fresh.json"
+    sixhex = [str(fixture_path("f2", "mixed")), factor_file([0.3, 0.35, 0.4], name="six.json")]
+    pants = [pants_path, factor_file([math.pi / 6] * 3)]
+    assert main(["curvature", *sixhex, "--out", str(reused)]) == 0
+    longer = reused.stat().st_size
+    assert main(["curvature", *pants, "--out", str(reused)]) == 0
+    assert main(["curvature", *pants, "--out", str(fresh)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert reused.stat().st_size < longer
+
+
+def test_write_goes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old bytes, more of them than the new\n")
+    link.symlink_to(target)
+    write(link, "new\n", "curvature")
+    assert link.is_symlink()
+    assert target.read_text() == "new\n"
+
+
+def test_rewrite_keeps_the_mode_bits(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    write(path, "new text\n", "curvature")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_text() == "new text\n"
+
+
+# writes 2048 bytes over a 4096-byte file under a 1024-byte file size limit:
+# the first write stops at the limit and the next fails with EFBIG
+FAILED_WRITE = """
+import resource, signal, sys
+from hexflow.errors import HexflowError
+from hexflow.jsonio import write
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    write(sys.argv[1], "n" * 2048, "curvature")
+except HexflowError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
+def test_failed_write_leaves_no_old_bytes(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"o" * 4096)
+    env = {**os.environ, "PYTHONPATH": str(Path(hexflow.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", FAILED_WRITE, str(path)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"cannot write curvature file {path}: {os.strerror(errno.EFBIG)}\n"
+    assert path.read_bytes() == b""
 
 
 @pytest.mark.parametrize("fixture", ["f1", "f2"])
