@@ -8,6 +8,7 @@ reductions are ordered and floats are written in shortest round-trip
 decimal.  Output paths are checked before any work, so an output that is
 a directory or lies in a missing directory exits 2 whatever the run would
 have ended with, and a command leaves all of its output files or none.
+A solve that exits 6 writes its log and last iterate like any other run.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .solve import (
 )
 from .tolerances import FD_SAMPLE_MARGIN
 from .triangulation import check_structure_condition, load_surface
-from .volume import PyramidChart, relative_volume, volume_grid, volume_hessian
+from .volume import PyramidChart, volume_grid
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -164,9 +165,15 @@ def cmd_solve(args) -> int:
     factor = load_factor(args.factors, surface.n_boundary)
     Kbar = _load_target(args.target, surface.n_boundary)
     cfg = NewtonConfig(tol=args.tol, max_iters=args.max_iters)
-    result, log = solve_prescribed(surface, factor, Kbar, cfg)
+    stalled = None
+    try:
+        result, log = solve_prescribed(surface, factor, Kbar, cfg)
+    except NotAttained as exc:  # its log and last iterate explain the stall
+        stalled, result, log = exc, exc.factor, exc.log
     _write_all((args.log, lambda path: write(path, log.to_csv(), "log")),
                (args.out, lambda path: save_factor(result, path)))
+    if stalled is not None:
+        raise stalled
     print(f"status={log.status} iters={log.last('iter')} "
           f"resid_inf={_fmt(log.last('resid_inf'))}")
     return EXIT_OK if log.status == CONVERGED else EXIT_NONCONVERGED
@@ -235,11 +242,9 @@ def cmd_volume(args) -> int:
         ticks.append(k * step)
         k += 1
     grid = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
-    points, volumes, eigs = volume_grid(chart, grid)  # skips the inadmissible points
-
-    base_eigs = np.linalg.eigvalsh(volume_hessian(chart, base))
-    table = np.vstack(([*base.as_tuple(), relative_volume(chart, base), base_eigs[0], base_eigs[-1]],
-                       np.column_stack((points, volumes, eigs[:, 0], eigs[:, -1]))))
+    # the base is row 0, which the chart admitted; the inadmissible points are skipped
+    points, volumes, eigs = volume_grid(chart, np.vstack((base.as_tuple(), grid)))
+    table = np.column_stack((points, volumes, eigs[:, 0], eigs[:, -1]))
     rows = map(",".join, reprs(table))
     lines = ["alpha_i,alpha_j,alpha_k,volume,hess_eig_min,hess_eig_max", *rows]
     text = "\n".join(lines) + "\n"

@@ -414,8 +414,7 @@ def sample_admissible(
         if factor_margin(s, alpha) > margin:
             return ConformalFactor(alpha)
     raise NotAdmissible(
-        f"no admissible sample found in {SAMPLE_MAX_TRIES} tries; "
-        "pass an explicit factor file instead",
+        f"the uniform draw found no admissible point in {SAMPLE_MAX_TRIES} tries",
         deficit=None,
     )
 

@@ -51,11 +51,16 @@ class JacobianNotPD(HexflowError):
 
 class NotAttained(HexflowError):
     """The prescribed-curvature solve stalled against the admissible-region
-    boundary; no admissible solution appears to exist for this target."""
+    boundary; no admissible solution appears to exist for this target.
 
-    def __init__(self, message, *, log=None):
+    Carries the solve's log and its last accepted iterate (a
+    ConformalFactor) as factor, which `hexflow solve` writes to --log and
+    --out before it exits 6."""
+
+    def __init__(self, message, *, log=None, factor=None):
         super().__init__(message)
         self.log = log
+        self.factor = factor
 
 
 class QuadratureWarning(UserWarning):

@@ -21,11 +21,11 @@ loop evaluates the current point once, by one `curvature` call that also
 gives J, and the move proposes a displacement for each step: a flow's is
 h v(h) with v(h) = -(I + h J^(p+1))^-1 J^p r, a linearly implicit
 (Rosenbrock) Euler step from h = dt, and Newton's is lam d from lam = 1.
-`_guarded_step` shrinks the step by STEP_SHRINK until the trial stays
-inside the open angle box with every edge margin at least STEP_MARGIN and
-its Calabi energy |r|^2 / 2 does not rise; the accepted trial's K and J
-drive the next move.  The flow's move is not linear in h, so each trial
-solves again.  The implicit step linearises the flow as
+The loop shrinks the step by STEP_SHRINK until the trial stays inside the
+open angle box with every edge margin at least STEP_MARGIN, and only then
+evaluates it: its Calabi energy |r|^2 / 2 may not rise.  The accepted
+trial's K and J drive the next move.  The flow's move is not linear in h,
+so each trial solves again.  The implicit step linearises the flow as
 da/dt = -J^(p+1) (a - a*) and is A-stable there: dt grows by
 1 / STEP_SHRINK after every accepted step, without a cap, and as dt grows
 the step tends to Newton's.  Every flow therefore reads J, and a ricci flow
@@ -271,40 +271,21 @@ def _target(s: Surface, Kbar) -> np.ndarray:
     return Kbar
 
 
-def _guarded_step(s: Surface, alpha: np.ndarray, move, step: float, accept):
-    """Shrink step by STEP_SHRINK until alpha + move(step) lies in the open
-    angle box, keeps every edge margin at least STEP_MARGIN and passes
-    accept(trial, step), which returns None to reject the trial or the value
-    to keep.  accept sees only trials that passed both guards; move is
-    called once per trial, as a flow's implicit step is not linear in the
-    step.
-
-    Returns (trial, step, margin, value), or None once step drops below
-    STEP_FLOOR or is not finite.
-    """
-    while STEP_FLOOR <= step < math.inf:
-        trial = alpha + move(step)
-        margin = factor_margin(s, trial)  # -inf outside the box
-        if margin >= STEP_MARGIN:
-            value = accept(trial, step)
-            if value is not None:
-                return trial, step, margin, value
-        step *= STEP_SHRINK
-    return None
-
-
 def _descend(s: Surface, path: list[np.ndarray], Kbar: np.ndarray, log: RunLog, tol: float,
              budget: int, propose, row) -> str:
     """Descend from path[0] toward curvature Kbar, appending each accepted
     point to path and its row to log, whose potential column is pending.
     Returns why the descent stopped: CONVERGED, MAX_STEPS (budget moves
-    made) or STALLED_STEP (the guard rejected every step of a move).
+    made) or STALLED_STEP (a move's step left [STEP_FLOOR, inf) before a
+    trial passed the guard).
 
     propose(c, step) gives the move (step -> displacement) from the point
     evaluated as c, and its first step; step is the one that reached the
-    point, 0.0 at path[0].  row(k, t, step, resid, cal, margin) makes row
-    k, with t the sum of the accepted steps (kept finite), resid the largest
-    |K - Kbar|, cal the Calabi energy and margin the smallest edge margin.
+    point, 0.0 at path[0].  The move is called once per trial, as a flow's
+    implicit step is not linear in the step.  row(k, t, step, resid, cal,
+    margin) makes row k, with t the sum of the accepted steps (kept finite),
+    resid the largest |K - Kbar|, cal the Calabi energy and margin the
+    smallest edge margin.
     """
     alpha = path[0]
     c = curvature(s, ConformalFactor(alpha), jacobian=True)  # raises if path[0] inadmissible
@@ -313,21 +294,23 @@ def _descend(s: Surface, path: list[np.ndarray], Kbar: np.ndarray, log: RunLog, 
     log.pending = ("potential", lambda: _path_potential(s, path, Kbar))
     k, t, step = 0, 0.0, 0.0
     log._rows.append(row(k, t, step, resid, cal, factor_margin(s, alpha)))
-
-    def no_rise(trial, _step):
-        trial_c = curvature(s, ConformalFactor(trial), jacobian=True)
-        trial_cal = calabi_energy(trial_c.K, Kbar)
-        return None if trial_cal > cal else (trial_c, trial_cal)
-
     while not resid <= tol:  # a NaN residual has not converged
         if k == budget:
             return MAX_STEPS
         k += 1
         move, step = propose(c, step)
-        guarded = _guarded_step(s, alpha, move, step, no_rise)
-        if guarded is None:
+        while STEP_FLOOR <= step < math.inf:
+            trial = alpha + move(step)
+            margin = factor_margin(s, trial)  # -inf outside the box
+            if margin >= STEP_MARGIN:
+                trial_c = curvature(s, ConformalFactor(trial), jacobian=True)
+                trial_cal = calabi_energy(trial_c.K, Kbar)
+                if trial_cal <= cal:  # the Calabi energy may not rise
+                    break
+            step *= STEP_SHRINK
+        else:
             return STALLED_STEP
-        alpha, step, margin, (c, cal) = guarded
+        alpha, c, cal = trial, trial_c, trial_cal
         path.append(alpha)
         t = min(t + step, sys.float_info.max)
         resid = float(np.max(np.abs(c.K - Kbar)))
@@ -468,7 +451,7 @@ def solve_prescribed(
             f"line search stalled at iteration {log.last('iter') + 1} with residual "
             f"{log.last('resid_inf'):.3e} and min margin {log.last('min_margin'):.3e}; "
             "no admissible factor appears to realize this target",
-            log=log,
+            log=log, factor=ConformalFactor(path[-1]),
         )
     log.status = MAX_ITERS if why == MAX_STEPS else why
     return ConformalFactor(path[-1]), log
@@ -484,7 +467,7 @@ def solve_prescribed_multistart(
     for a0 in starts:
         factor, log = solve_prescribed(s, a0, Kbar, cfg)
         if log.status != CONVERGED:
-            raise NotAttained(f"start did not converge: {log.status}", log=log)
+            raise NotAttained(f"start did not converge: {log.status}", log=log, factor=factor)
         solutions.append(factor.alpha)
     ref = solutions[0]
     for other in solutions[1:]:

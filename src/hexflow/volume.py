@@ -39,8 +39,9 @@ class PyramidChart:
     base_alpha: CornerAlpha
 
     def __post_init__(self):
-        # raises NotAdmissible if the base point is bad
-        curvature(self.surface, ConformalFactor(self.base_alpha.as_tuple()))
+        # raises NotAdmissible if the base point is bad, DomainError if the
+        # kernel fails there (its Hessian included), so volume_grid keeps it
+        curvature(self.surface, ConformalFactor(self.base_alpha.as_tuple()), jacobian=True)
 
     @cached_property
     def surface(self) -> Surface:
@@ -59,10 +60,9 @@ def relative_volume(chart: PyramidChart, a: CornerAlpha) -> float:
     straight segment from the base point (admissible by convexity)."""
     start = np.array(chart.base_alpha.as_tuple())
     end = np.array(a.as_tuple())
-    if not np.any(end - start):
-        return 0.0
     _check_factors(chart.surface, end)  # endpoint check
-    return -0.5 * _segment_curvature_integral(chart.surface, start, end)
+    # 0.0 - x, not -x: the base point's zero-length segment gives 0.0, not -0.0
+    return 0.0 - 0.5 * _segment_curvature_integral(chart.surface, start, end)
 
 
 def volume_gradient(chart: PyramidChart, a: CornerAlpha) -> np.ndarray:
@@ -99,9 +99,7 @@ def volume_grid(chart: PyramidChart, alphas: np.ndarray):
     points, eigs = points[evaluated], eigs[evaluated]
     base = np.array(chart.base_alpha.as_tuple())
     integrals = _segment_curvature_integral(surface, np.broadcast_to(base, points.shape), points)
-    # relative_volume is 0.0 at the base point itself, not -0.0
-    volumes = np.where((points != base).any(axis=1), -0.5 * integrals, 0.0)
-    return points, volumes, eigs
+    return points, 0.0 - 0.5 * integrals, eigs  # as relative_volume: 0.0 at the base
 
 
 def _hessians(surface: Surface, alphas: np.ndarray):

@@ -315,6 +315,33 @@ class TestSolve:
         tpath = target_file([1.0, 1.0, 1.0])
         assert main(["solve", pants_path, fpath, tpath]) == 6
 
+    def test_not_attained_writes_log_and_last_iterate(self, pants_path, factor_file, target_file,
+                                                       tmp_path, capsys):
+        log, out = tmp_path / "log.csv", tmp_path / "out.json"
+        inputs = [pants_path, factor_file([0.5, 0.6, 0.7]), target_file([1e6, 1.0, 1.0])]
+        assert main(["solve", *inputs]) == 6
+        err = capsys.readouterr().err
+        assert main(["solve", *inputs, "--log", str(log), "--out", str(out)]) == 6
+        assert capsys.readouterr() == ("", err)  # the outputs change no message
+        rows = log.read_text().splitlines()
+        assert rows[-1] == "# status=NotAttained"
+        # the factor is the last accepted iterate, the log's last row
+        alpha = json.loads(out.read_text())["alpha"]
+        K = curvature(load_surface(pants_path), ConformalFactor(alpha)).K
+        assert float(rows[-2].split(",")[1]) == float(np.max(np.abs(K - [1e6, 1.0, 1.0])))
+
+    def test_not_attained_failed_write_leaves_nothing(self, pants_path, factor_file, target_file,
+                                                      tmp_path, capsys, monkeypatch):
+        def fail(factor, path):
+            raise HexflowError(f"cannot write factor file {path}: disk full")
+
+        monkeypatch.setattr(cli, "save_factor", fail)
+        log, out = tmp_path / "log.csv", tmp_path / "out.json"
+        inputs = [pants_path, factor_file([0.5, 0.6, 0.7]), target_file([1e6, 1.0, 1.0])]
+        assert main(["solve", *inputs, "--log", str(log), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write factor file {out}: disk full\n"
+        assert not log.exists() and not out.exists()
+
 
 @pytest.mark.parametrize("K", ["x", {"a": 1}, [[1.0], [2.0, 3.0]]], ids=["string", "object", "ragged"])
 @pytest.mark.parametrize("command", ["flow", "solve"])
@@ -520,6 +547,13 @@ class TestJacobianCheck:
         assert main(["jacobian-check", pants_path, "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: --seed must be non-negative\n"
 
+    def test_no_admissible_sample_exits_3(self, pants_path, capsys, monkeypatch):
+        # the message gives no advice the command cannot follow
+        monkeypatch.setattr(hexflow.conformal, "SAMPLE_MAX_TRIES", 0)
+        assert main(["jacobian-check", pants_path]) == 3
+        assert capsys.readouterr().err == (
+            "inadmissible: the uniform draw found no admissible point in 0 tries\n")
+
     @pytest.mark.parametrize("option", ["--h", "--margin"])
     def test_removed_options_are_usage_errors(self, pants_path, option):
         with pytest.raises(SystemExit) as exc:
@@ -566,6 +600,14 @@ class TestVolume:
         lines = out.read_text().splitlines()
         assert lines[0] == "alpha_i,alpha_j,alpha_k,volume,hess_eig_min,hess_eig_max"
         assert len(lines) == 2 and lines[1].startswith("0.2,0.2,0.2,0.0,")
+
+
+    def test_base_hessian_not_finite_exits_2(self, capsys):
+        # the base's arcs are finite but its Jacobian is not: no CSV, exit 2
+        args = ["volume", "--eta", "1", "1", "1e155", "--base", "0.3", "0.3", "0.3",
+                "--grid-step", "0.5"]
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", "error: face 0: angle Jacobian not finite\n")
 
 
 # sha256 of the CSVs of the benchmark's three volume grids (base 0.3 0.3 0.3,
@@ -1045,8 +1087,8 @@ TERMINAL_RUNS = {
 }
 
 # The exit code and the sha256 of stdout, stderr and the trace (or log) of
-# each run; None where the run writes no log (NotAttained exits 6 and
-# writes nothing).
+# each run.  NotAttained exits 6 and prints nothing to stdout, but writes its
+# log, which ends in "# status=NotAttained".
 TERMINAL_SHA256 = {
     "flow_far_target": (
         4,
@@ -1064,7 +1106,7 @@ TERMINAL_SHA256 = {
         6,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "102f251ac8a25c94bbb51ad88131ffb04d62d3f2fd7908257ea41de6dd5fb4b1",
-        None,
+        "57327b753f8c3013b37af6b051b8db645430427d1ac0eb303e7b9ffdd7d81d34",
     ),
     "solve_max_iters_0": (
         4,

@@ -36,11 +36,12 @@ from hexflow.solve import (
     MAX_ITERS,
     MAX_STEPS,
     STALLED_STEP,
+    RunLog,
     _cholesky_solver,
-    _guarded_step,
+    _descend,
     _spd_apply,
 )
-from hexflow.tolerances import DENSE_EIG_MAX_N, STEP_FLOOR, STEP_MARGIN
+from hexflow.tolerances import DENSE_EIG_MAX_N, STEP_FLOOR, STEP_MARGIN, STEP_SHRINK
 from hexflow.triangulation import CsrPattern
 from conftest import PROFILES, SURFACE_FILES, load, reference_factor, torus
 
@@ -338,49 +339,73 @@ class TestVelocity:
             velocity(method, 0.5, K, Kbar, J, dt)
 
 
-class TestGuardedStep:
-    # From a = (0.3, 0.3, 0.3) on the zero-weight pants, whose edge margins
-    # are cos(a_i + a_j): the full "outside-box" step leaves the box, the
-    # full "under-margin" step stays in the box but crosses a facet, and
-    # both pass at half the step.
+class TestDescendGuard:
+    # _descend's step guard, driven by a stub move from a = (0.3, 0.3, 0.3)
+    # on the zero-weight pants, whose edge margins are cos(a_i + a_j): the
+    # full "outside-box" step leaves the box, the full "under-margin" step
+    # stays in the box but crosses a facet, and both pass at half the step.
+    # The target is the curvature at 0.4 d, or at 0.3 d for "energy-rise",
+    # whose full step is admissible but raises the Calabi energy.
+    A0 = np.full(3, 0.3)
+
+    def descend(self, pants, monkeypatch, move, step, Kbar):
+        """One move of _descend from A0 with a budget of one: its stop, the
+        steps the move was called with, the points curvature evaluated and
+        the path."""
+        moved, evaluated = [], []
+
+        def checked_curvature(s, a, jacobian=False):
+            # the start, then only trials that cleared the box and STEP_MARGIN
+            assert np.all((a.alpha > 0.0) & (a.alpha < 0.5 * math.pi))
+            assert np.cos(a.alpha[0] + a.alpha[1]) >= STEP_MARGIN
+            evaluated.append(a.alpha)
+            return curvature(s, a, jacobian=jacobian)
+
+        def propose(c, _step):
+            return (lambda h: moved.append(h) or move(h)), step
+
+        monkeypatch.setattr(hexflow.solve, "curvature", checked_curvature)
+        path = [self.A0]
+        why = _descend(pants, path, Kbar, RunLog(()), 1e-10, 1, propose, lambda *row: row)
+        return why, moved, evaluated, path
+
     @pytest.mark.parametrize(
-        "d,rejections,result_step,accept_steps",
+        "d,target_step,rejected",
         [
-            pytest.param([-0.45] * 3, 0, 0.5, [0.5], id="outside-box"),
-            pytest.param([0.6] * 3, 0, 0.5, [0.5], id="under-margin"),
-            pytest.param([0.01] * 3, 1, 0.5, [1.0, 0.5], id="rejected-by-accept"),
-            pytest.param([0.01] * 3, math.inf, None, [0.5**k for k in range(47)], id="floor"),
+            pytest.param([-0.45] * 3, 0.4, [], id="outside-box"),
+            pytest.param([0.6] * 3, 0.4, [], id="under-margin"),
+            pytest.param([0.05] * 3, 0.3, [1.0], id="energy-rise"),
         ],
     )
-    def test_shrinks_until_accepted(self, pants, d, rejections, result_step, accept_steps):
-        alpha = np.full(3, 0.3)
+    def test_halved_once_and_accepted(self, pants, monkeypatch, d, target_step, rejected):
         d = np.array(d)
-        seen = []
+        Kbar = curvature(pants, ConformalFactor(self.A0 + target_step * d)).K
+        why, moved, evaluated, path = self.descend(pants, monkeypatch, lambda h: h * d, 1.0, Kbar)
+        assert why == MAX_STEPS  # one accepted step spends the budget
+        assert moved == [1.0, 0.5]
+        expected = [self.A0] + [self.A0 + h * d for h in rejected + [0.5]]
+        assert len(evaluated) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(evaluated, expected))
+        assert len(path) == 2 and np.array_equal(path[-1], self.A0 + 0.5 * d)
 
-        def accept(trial, step):
-            # only trials that passed the box and the margin checks get here
-            assert np.all((trial > 0.0) & (trial < 0.5 * math.pi))
-            assert np.cos(trial[0] + trial[1]) >= STEP_MARGIN
-            seen.append(step)
-            return None if len(seen) <= rejections else "value"
-
-        out = _guarded_step(pants, alpha, lambda step: step * d, 1.0, accept)
-        assert seen == accept_steps
-        if result_step is None:
-            assert out is None
-            assert seen[-1] >= STEP_FLOOR > seen[-1] * 0.5
-        else:
-            trial, step, margin, value = out
-            assert (step, value) == (result_step, "value")
-            assert np.array_equal(trial, alpha + step * d)
-            assert margin >= STEP_MARGIN
+    def test_floor(self, pants, monkeypatch):
+        # a move that leaves the box at every step is never evaluated
+        Kbar = curvature(pants, ConformalFactor(self.A0)).K * 1.5
+        why, moved, evaluated, path = self.descend(
+            pants, monkeypatch, lambda h: np.full(3, -1.0), 1.0, Kbar)
+        assert why == STALLED_STEP
+        assert moved == [0.5**k for k in range(47)]
+        assert moved[-1] >= STEP_FLOOR > moved[-1] * STEP_SHRINK
+        assert len(evaluated) == 1 and len(path) == 1
 
     @pytest.mark.parametrize("step", [math.inf, math.nan], ids=["inf", "nan"])
-    def test_non_finite_step_stalls(self, pants, step):
+    def test_non_finite_step_stalls(self, pants, monkeypatch, step):
         # inf * STEP_SHRINK stays inf: the loop must end, not spin
-        out = _guarded_step(pants, np.full(3, 0.3), lambda h: h * np.full(3, 0.01), step,
-                            lambda trial, h: "value")
-        assert out is None
+        Kbar = curvature(pants, ConformalFactor(self.A0)).K * 1.5
+        why, moved, evaluated, path = self.descend(
+            pants, monkeypatch, lambda h: h * np.full(3, 0.01), step, Kbar)
+        assert why == STALLED_STEP
+        assert moved == [] and len(evaluated) == 1 and len(path) == 1
 
 
 class TestRunFlow:
@@ -606,6 +631,20 @@ class TestNewton:
             assert log.status in (MAX_ITERS, CONVERGED)
         except NotAttained:
             pass  # also an allowed, controlled outcome
+
+    def test_not_attained_carries_the_last_iterate(self, pants):
+        Kbar = np.array([1e6, 1.0, 1.0])
+        with pytest.raises(NotAttained) as err:
+            solve_prescribed(pants, ConformalFactor([0.5, 0.6, 0.7]), Kbar)
+        log, factor = err.value.log, err.value.factor
+        assert log.last("iter") > 0
+        resid = float(np.max(np.abs(curvature(pants, factor).K - Kbar)))
+        assert resid == log.last("resid_inf")
+        # a start that multistart gives up on is its own last iterate
+        a0 = ConformalFactor([0.5, 0.6, 0.7])
+        with pytest.raises(NotAttained) as err:
+            solve_prescribed_multistart(pants, [a0], Kbar, NewtonConfig(max_iters=0))
+        assert np.array_equal(err.value.factor.alpha, a0.alpha)
 
     def test_not_attained_on_persistent_line_search_failure(self, pants, monkeypatch):
         a0 = reference_factor(pants)
