@@ -136,7 +136,7 @@ def factor_margins(s: Surface, alpha: np.ndarray) -> np.ndarray:
     if alpha.min(initial=math.inf) > 0.0 and alpha.max(initial=-math.inf) < _HALF_PI:
         return edge_margins(s, alpha).min(axis=-1, initial=math.inf)
     inside = ((alpha > 0.0) & (alpha < _HALF_PI)).all(axis=-1)
-    with np.errstate(invalid="ignore"):  # cos(inf) off the box
+    with np.errstate(invalid="ignore", over="ignore"):  # a_i + a_j = inf, cos(inf) off the box
         margins = edge_margins(s, alpha).min(axis=-1, initial=math.inf)
     return np.where(inside, margins, -math.inf)
 
@@ -331,16 +331,18 @@ def _segment_curvature_integral(
 ) -> np.ndarray:
     """Integrals of K . da along the M straight segments from starts to
     ends, both of shape (M, n); starts and ends of shape (n,) are the M = 1
-    view and give a float.
-
-    A segment of length zero is 0.0 and evaluates nothing.  The others
-    share each Gauss-Legendre level while they refine: a kernel call
-    covers at most BATCH_FACE_EVALS face-node evaluations, and never less
-    than one segment's whole level.  Every node passes _check_factors
-    first; the first node that fails, in call order, raises.
+    view and give a float.  A segment of length zero is 0.0 and evaluates
+    nothing.  All ends, then all starts, pass _check_factors (the first
+    that fails raises), and no node does: the admissible set is convex, so
+    nodes between admissible end points are admissible up to one rounding.
+    Moving segments share each Gauss-Legendre level while they refine: a
+    kernel call covers at most BATCH_FACE_EVALS face-node evaluations, and
+    never less than one segment's whole level.
     """
     if starts.ndim == 1:
         return float(_segment_curvature_integral(s, starts[None], ends[None])[0])
+    _check_factors(s, ends)
+    _check_factors(s, starts)
     d = ends - starts
     moving = np.flatnonzero(d.any(axis=1))
     out = np.zeros(len(d))
@@ -353,7 +355,6 @@ def _segment_curvature_integral(
     def integrand(level) -> np.ndarray:
         rows, t = level
         alpha = starts[rows, None] + t[:, None] * d[rows, None]
-        _check_factors(s, alpha)
         arcs = _faces(s, alpha).arcs.reshape(len(rows), t.size, -1)
         return np.matmul(arcs, d_corners[rows])[..., 0]
 
@@ -363,13 +364,11 @@ def _segment_curvature_integral(
 
 
 def energy(s: Surface, a: ConformalFactor, base: ConformalFactor | None = None) -> float:
-    """Potential difference E(a) - E(base) of the closed 1-form K . da,
-    integrated along the straight segment (path independent by symmetry of
-    dK/da; the segment stays admissible because the region is convex)."""
+    """Potential difference E(a) - E(base) of the closed 1-form K . da along
+    the straight segment (path independent by symmetry of dK/da), whose
+    integral gates a, then base, and admits its nodes by convexity."""
     if base is None:
         base = default_base_point(s)
-    _check_factors(s, a.alpha)
-    _check_factors(s, base.alpha)
     return _segment_curvature_integral(s, base.alpha, a.alpha)
 
 

@@ -20,8 +20,8 @@ against 26 us on a 2-vCPU x86-64 VM).  Its outputs keep the C layout
 potential's integrand) keeps its bits; matmul rounds a transposed view
 differently.
 
-The kernel does not check admissibility; callers pass every point through
-the gate `conformal.factor_margin` (built on `edge_margins`) first.
+The kernel does not check admissibility; callers pass every point, or a
+segment's end points, through the gate `conformal.factor_margins` first.
 """
 
 from __future__ import annotations

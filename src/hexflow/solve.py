@@ -271,6 +271,7 @@ def _target(s: Surface, Kbar) -> np.ndarray:
     return Kbar
 
 
+@np.errstate(over="ignore")  # once per run; see the docstring
 def _descend(s: Surface, path: list[np.ndarray], Kbar: np.ndarray, log: RunLog, tol: float,
              budget: int, propose, row) -> str:
     """Descend from path[0] toward curvature Kbar, appending each accepted
@@ -285,7 +286,9 @@ def _descend(s: Surface, path: list[np.ndarray], Kbar: np.ndarray, log: RunLog, 
     implicit step is not linear in the step.  row(k, t, step, resid, cal,
     margin) makes row k, with t the sum of the accepted steps (kept finite),
     resid the largest |K - Kbar|, cal the Calabi energy and margin the
-    smallest edge margin.
+    smallest edge margin.  Overflow is silenced for the whole descent: a
+    residual beyond about 1e154 overflows the Calabi energy, J r and an
+    off-box trial's margins to their true, infinite values.
     """
     alpha = path[0]
     c = curvature(s, ConformalFactor(alpha), jacobian=True)  # raises if path[0] inadmissible
@@ -359,6 +362,7 @@ def run_flow(
     return ConformalFactor(path[-1]), trace
 
 
+@np.errstate(over="ignore")  # Kbar . (a - prev) beyond the float range is inf
 def _path_potential(s: Surface, path: list[np.ndarray], Kbar: np.ndarray) -> list[float]:
     """The potential (for target Kbar, against the default base point) at
     every point of a flow's or Newton's path: the line integrals of the

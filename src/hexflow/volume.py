@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .conformal import (
-    ConformalFactor, _check_factors, _faces, _segment_curvature_integral, curvature, factor_margins,
+    ConformalFactor, _faces, _segment_curvature_integral, curvature, factor_margins,
 )
 from .errors import DomainError
 from .hexagon import CornerAlpha, FaceEta
@@ -57,10 +57,9 @@ class PyramidChart:
 
 def relative_volume(chart: PyramidChart, a: CornerAlpha) -> float:
     """V(a) - V(base): minus half the line integral of th . da along the
-    straight segment from the base point (admissible by convexity)."""
+    straight segment from the base point, which gates a and the base."""
     start = np.array(chart.base_alpha.as_tuple())
     end = np.array(a.as_tuple())
-    _check_factors(chart.surface, end)  # endpoint check
     # 0.0 - x, not -x: the base point's zero-length segment gives 0.0, not -0.0
     return 0.0 - 0.5 * _segment_curvature_integral(chart.surface, start, end)
 

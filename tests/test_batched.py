@@ -58,6 +58,8 @@ def loop_line_integral(f, rtol=QUAD_REL_TOL, max_nodes=QUAD_MAX_NODES):
 
 
 def loop_segment_integral(s, start, end, max_nodes=QUAD_MAX_NODES):
+    _check_factors(s, end)
+    _check_factors(s, start)
     d = end - start
     if not np.any(d):
         return 0.0
@@ -65,7 +67,6 @@ def loop_segment_integral(s, start, end, max_nodes=QUAD_MAX_NODES):
 
     def integrand(t):
         alpha = start + t[:, None] * d
-        _check_factors(s, alpha)
         return _faces(s, alpha).arcs.reshape(t.size, -1) @ d_corners
 
     return loop_line_integral(integrand, max_nodes=max_nodes)
@@ -205,7 +206,7 @@ def test_warns_at_the_node_cap_with_the_loops_value():
         (np.array([-0.1, 0.3, 0.3]), DomainError),  # out of the box
     ],
 )
-def test_node_check_raises_as_the_loop(bad, error):
+def test_end_point_check_raises_as_the_loop(bad, error):
     s = load("f1", "eta0")
     start = np.full(3, math.pi / 6)
     good = 0.9 * start
@@ -215,7 +216,48 @@ def test_node_check_raises_as_the_loop(bad, error):
         _segment_curvature_integral(s, np.array([start, start, start]), np.array([good, bad, good]))
     assert str(got.value) == str(want.value)
     if error is NotAdmissible:
+        # the bad end point itself, not a node on the way to it
+        assert got.value.deficit == conformal.factor_margin(s, bad)
         assert np.array_equal(got.value.report.margins, want.value.report.margins)
+
+
+def test_the_gate_runs_twice_per_call(monkeypatch):
+    s = load("f1", "eta0")
+    starts, ends = random_segments(s, np.random.default_rng(15), 40)
+    base = default_base_point(s).alpha
+    # the last segment refines to 256 nodes
+    starts, ends = np.vstack((starts, base)), np.vstack((ends, [0.785, 0.785, 0.3]))
+    gated = []
+    margins = conformal.factor_margins
+
+    def spy(s, alpha):
+        gated.append(alpha.copy())
+        return margins(s, alpha)
+
+    monkeypatch.setattr(conformal, "factor_margins", spy)
+    got, calls = kernel_calls(s, starts, ends)
+    assert len(calls) >= 5  # levels of 16 to 256 nodes
+    # ends first: a before base in energy and relative_volume
+    assert len(gated) == 2
+    assert np.array_equal(gated[0], ends) and np.array_equal(gated[1], starts)
+    monkeypatch.undo()
+    assert got.tolist() == [loop_segment_integral(s, a, b) for a, b in zip(starts, ends)]
+
+
+def test_segments_along_a_facet_integrate():
+    # end points with the edge-2 margin cos(a_0 + a_1) = 2e-12, just above
+    # ADMISSIBILITY_EPS; the nodes between them sit as close to the facet
+    s = load("f1", "eta0")
+    c = math.acos(2e-12)
+    points = np.array([[x, c - x, z] for x, z in
+                       [(0.7, 0.3), (0.785, 0.4), (0.9, 0.5), (0.6, 0.2), (0.75, 0.05)]])
+    margins = conformal.factor_margins(s, points)
+    assert np.all((margins > conformal.ADMISSIBILITY_EPS) & (margins < 3e-12))
+    starts, ends = points[:-1], points[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _segment_curvature_integral(s, starts, ends)
+        assert got.tolist() == [loop_segment_integral(s, a, b) for a, b in zip(starts, ends)]
 
 
 def test_line_integral_rows_equal_the_loop():

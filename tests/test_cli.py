@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1136,3 +1137,29 @@ def test_terminal_run_digests(run, pants_path, factor_file, target_file, tmp_pat
     digests = (code, hashlib.sha256(out.encode()).hexdigest(),
                hashlib.sha256(err.encode()).hexdigest(), written)
     assert digests == TERMINAL_SHA256[run]
+
+
+# Targets so far that |K - Kbar|^2 overflows: the Calabi energy, J r and the
+# logged potential are infinite, and no numpy RuntimeWarning is printed.
+FAR_COMMANDS = {
+    "solve": (["solve"], "--log", 6, 6),
+    "ricci": (["flow", "--method", "ricci"], "--trace", 4, 4),
+    "calabi": (["flow", "--method", "calabi"], "--trace", 4, 4),
+    # J^s (K - Kbar) is not finite at the float maximum: a malformed input
+    "fractional": (["flow", "--method", "fractional", "--s", "0.5"], "--trace", 4, 2),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAR_COMMANDS))
+@pytest.mark.parametrize("K", [1e200, sys.float_info.max], ids=["1e200", "float-max"])
+@pytest.mark.parametrize("profile, start", [("eta0", [0.5, 0.6, 0.7]), ("eta15", [1.5] * 3)],
+                         ids=["eta0", "eta15"])
+def test_far_target_exits_without_warnings(profile, start, K, command, factor_file, target_file,
+                                           tmp_path):
+    argv, log_option, code_1e200, code_max = FAR_COMMANDS[command]
+    argv = [*argv, str(fixture_path("f1", profile)), factor_file(start), target_file([K] * 3),
+            "--out", str(tmp_path / "out.json"), log_option, str(tmp_path / "log.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code == (code_1e200 if K == 1e200 else code_max)

@@ -5,6 +5,7 @@ guards that survive `python -O`."""
 import ast
 import importlib
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,15 @@ def test_gate_is_minus_inf_off_the_open_box(pants, value):
     assert factor_margin(pants, alpha) == -math.inf
     rows = np.array([[0.3, 0.3, 0.3], alpha])
     assert factor_margin(pants, rows) == -math.inf
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308, math.inf])
+def test_gate_is_silent_far_off_the_box(pants, value):
+    # a_i + a_j overflows, or is inf - inf: -inf without a RuntimeWarning
+    alpha = np.array([[value, value, 0.3], [value, -value, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert factor_margins(pants, alpha).tolist() == [-math.inf, -math.inf]
 
 
 @pytest.mark.parametrize("value", [0.0, math.pi / 2, math.nan, math.inf])
