@@ -223,7 +223,12 @@ def curvature(s: Surface, a: ConformalFactor, jacobian: bool = False) -> Curvatu
     gated kernel evaluation of a factor: raises NotAdmissible (with the
     report attached) for inadmissible factors."""
     _check_factors(s, a.alpha)
-    faces = _faces(s, a.alpha, jacobian)
+    return _evaluate(s, a.alpha, jacobian)
+
+
+def _evaluate(s: Surface, alpha: np.ndarray, jacobian: bool = False) -> CurvatureVector:
+    """curvature at the factor alpha (n,), which the caller has gated."""
+    faces = _faces(s, alpha, jacobian)
     J = _assemble(s, faces.jacobian) if jacobian else None
     return CurvatureVector(_scatter_arcs(s, faces.arcs), faces.arcs, J)
 
@@ -335,14 +340,20 @@ def _segment_curvature_integral(
     nothing.  All ends, then all starts, pass _check_factors (the first
     that fails raises), and no node does: the admissible set is convex, so
     nodes between admissible end points are admissible up to one rounding.
-    Moving segments share each Gauss-Legendre level while they refine: a
-    kernel call covers at most BATCH_FACE_EVALS face-node evaluations, and
-    never less than one segment's whole level.
     """
     if starts.ndim == 1:
         return float(_segment_curvature_integral(s, starts[None], ends[None])[0])
     _check_factors(s, ends)
     _check_factors(s, starts)
+    return _segment_integrals(s, starts, ends)
+
+
+def _segment_integrals(s: Surface, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """_segment_curvature_integral of segments (M, n) whose end points the
+    caller has gated.  Moving segments share each Gauss-Legendre level
+    while they refine: a kernel call covers at most BATCH_FACE_EVALS
+    face-node evaluations, and never less than one segment's whole level.
+    """
     d = ends - starts
     moving = np.flatnonzero(d.any(axis=1))
     out = np.zeros(len(d))
@@ -419,13 +430,19 @@ def sample_admissible(
 
 
 def curvature_dump(s: Surface, a: ConformalFactor) -> dict:
-    """JSON-ready dump of K, the Jacobian triplets and the edge margins."""
+    """JSON-ready dump of K, the Jacobian triplets in row-major order and the
+    edge margins by edge id: K and the triplet columns are 1-d float64 and
+    int64 arrays, which hexflow.jsonio writes as the lists they hold."""
     c = curvature(s, a, jacobian=True)
-    margins = edge_margins(s, a.alpha)
+    p = c.jacobian.pattern
     return {
-        "K": c.K.tolist(),
-        "jacobian": c.jacobian.to_coo_dict(),
-        "margins": dict(zip(map(str, s.edge_ids), margins.tolist())),
+        "K": c.K,
+        "jacobian": {
+            "rows": p.rows.astype(np.int64, copy=False),
+            "cols": p.indices.astype(np.int64),
+            "vals": c.jacobian.data,
+        },
+        "margins": dict(zip(map(str, s.edge_ids), edge_margins(s, a.alpha).tolist())),
     }
 
 

@@ -1,10 +1,13 @@
 """The JSON reader and the one JSON writer of the package.
 
 `load(path, kind)` reads a JSON document and raises ParseError naming the
-file when it cannot be read or decoded.  The cyclic garbage collector is
-paused while it decodes (a large surface is tens of thousands of dicts and
-lists, none in a cycle, and the collector would walk them again and
-again), and the caller's collector state is restored afterwards.
+file when it cannot be read or decoded.  It decodes under
+`paused_collector()`: a large surface is tens of thousands of dicts and
+lists, none in a cycle, and the cyclic garbage collector would walk them
+again and again while they accumulate.  Once it resumes, its first pass
+walks every one of them still alive, so `load_surface` keeps it paused
+until the decoded records are gone; the caller's collector state is
+restored either way.
 
 `write(path, text, kind)` is the one writer of every output file, JSON or
 CSV: it raises HexflowError naming the file when the file cannot be
@@ -23,18 +26,24 @@ tradeoff is that a power loss during writeback can now leave old and new
 pages mixed in the file, where the truncating open's early flush made an
 empty or a complete file more likely.
 
-`dumps(obj)` returns exactly the text of `json.dumps(obj, indent=1)`, and
-`dump(obj, path, kind)` writes it with a final newline; dict keys must be
-strings.  The stdlib falls back to its pure-Python encoder whenever
-`indent` is set; this one writes a list (or the values of a dict) that
-holds only floats or only ints in a single join, which is most of a
-curvature dump.  A list of at least REPEAT_MIN such numbers in which at
-least a quarter repeat goes through `reprs`, which formats each distinct
-value once: the symmetric Jacobian of a dump holds every off-diagonal value
-twice, and its index columns hold each row or column index several times.
-`reprs` also formats the cells of `hexflow volume`'s CSV.
-Non-finite floats are written as `NaN`, `Infinity` and `-Infinity`, as the
-stdlib does by default.
+`dumps(obj)` returns exactly the text of
+`json.dumps(obj, indent=1, default=np.ndarray.tolist)` for an obj whose
+only arrays are 1-d int64 or float64 ones; any other array raises
+TypeError.  `dump(obj, path, kind)` writes it with a final newline; dict
+keys must be strings.  The stdlib falls back to its pure-Python encoder
+whenever `indent` is set; this one writes an array, or a list (or the
+values of a dict) that holds only floats or only ints, in a single join,
+which is all of a curvature dump but its keys.  At least REPEAT_MIN such
+numbers in which at least a quarter repeat go through the distinct values,
+each formatted once, with the one sort that found the repeats: the
+symmetric Jacobian of a dump holds every off-diagonal value twice, and its
+index columns hold each row or column index several times.  `reprs` does
+the same for an array of any shape and formats the cells of
+`hexflow volume`'s CSV.  Non-finite floats are written as `NaN`,
+`Infinity` and `-Infinity`, as the stdlib does by default.  Each
+container's text is built in one piece by an f-string: a chain of `+`
+allocates and copies a fresh string per operator, about 2 ms for a 1.5 MB
+text on a 2-vCPU x86-64 VM against 0.1 ms for the f-string.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ import json
 import math
 import os
 import stat
+from contextlib import contextmanager, suppress
 from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
@@ -52,18 +62,27 @@ import numpy as np
 from .errors import HexflowError, ParseError
 
 
-def load(path, kind: str):
-    """The JSON document in the `kind` file at path."""
+@contextmanager
+def paused_collector():
+    """Pause the cyclic garbage collector for the block and then restore
+    the caller's state, also when the block raises."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
-        raise ParseError(f"cannot read {kind} file {path}: {_reason(exc)}") from exc
+        yield
     finally:
         if collecting:
             gc.enable()
+
+
+def load(path, kind: str):
+    """The JSON document in the `kind` file at path."""
+    with paused_collector():
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+            raise ParseError(f"cannot read {kind} file {path}: {_reason(exc)}") from exc
 
 
 def dumps(obj) -> str:
@@ -147,8 +166,8 @@ def _keys(d: dict):
     return map(_string if set(map(type, d)) == {str} else _key, d)
 
 
-# A list of at least this many ints or finite floats goes through reprs
-# when its values repeat.
+# At least this many ints or finite floats go through their distinct values
+# when they repeat.
 REPEAT_MIN = 512
 
 
@@ -156,35 +175,54 @@ def reprs(a: np.ndarray) -> list:
     """The repr of each entry of the float64 or int64 array a, in the nested
     lists of a.tolist(), each distinct value formatted once: floats are told
     apart by their bits, so -0.0 stays apart from 0.0."""
-    distinct, cell = np.unique(a.view(np.int64), return_inverse=True)
-    cells = np.array(list(map(repr, distinct.view(a.dtype).tolist())), dtype=object)
-    return cells[cell.reshape(a.shape)].tolist()
+    flat = a.ravel()
+    return _cells(flat, *_sorted_bits(flat)).reshape(a.shape).tolist()
 
 
-def _repeating(seq: list, kinds: set):
-    """The list seq of ints or finite floats as an int64 or float64 array
-    when at least a quarter of its items repeat an earlier one, else None
-    (also when an int lies beyond int64 or a float is not finite).  With
-    fewer repeats, the sort in reprs costs more than it saves."""
-    try:
-        a = np.fromiter(seq, np.int64 if kinds == {int} else np.float64, len(seq))
-    except OverflowError:
-        return None
-    ordered = np.sort(a.view(np.int64))
-    if 4 * np.count_nonzero(ordered[1:] == ordered[:-1]) < a.size or not np.isfinite(a).all():
-        return None
-    return a
+def _sorted_bits(flat: np.ndarray):
+    """The permutation that sorts the bits of the items of the 1-d float64
+    or int64 array flat, and those bits sorted."""
+    keys = flat.view(np.int64)
+    order = np.argsort(keys)
+    return order, keys[order]
+
+
+def _cells(flat: np.ndarray, order: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """The repr of each item of the 1-d float64 or int64 array flat, as an
+    object array, from _sorted_bits(flat): each distinct value is formatted
+    once."""
+    first = np.empty(ordered.size, bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    cells = np.array(list(map(repr, ordered[first].view(flat.dtype).tolist())), dtype=object)
+    inverse = np.empty(flat.size, np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return cells[inverse]
+
+
+def _numbers(a: np.ndarray):
+    """The encoded items of the 1-d int64 or float64 array a: through their
+    distinct values when there are at least REPEAT_MIN, all finite, and at
+    least a quarter of them repeat an earlier one (with fewer repeats the
+    sort costs more than it saves), else in one map."""
+    finite = a.dtype.kind == "i" or bool(np.isfinite(a).all())
+    if finite and a.size >= REPEAT_MIN:
+        order, ordered = _sorted_bits(a)
+        if 4 * np.count_nonzero(ordered[1:] == ordered[:-1]) >= a.size:
+            return _cells(a, order, ordered).tolist()
+    return map(repr if finite else _float, a.tolist())
 
 
 def _values(seq: list, newline: str):
-    """The encoded items of seq, in one map when they are all ints or all
-    plain floats (finite: a sum that is not finite sends them the long way),
-    through reprs when there are at least REPEAT_MIN of them that repeat."""
+    """The encoded items of seq: when they are all ints or all floats, in
+    one map (finite floats only: a sum that is not finite sends them the
+    long way), or as an array through _numbers when there are at least
+    REPEAT_MIN of them and no int lies beyond int64."""
     kinds = set(map(type, seq))
     if kinds == {int} or kinds == {float}:
-        a = _repeating(seq, kinds) if len(seq) >= REPEAT_MIN else None
-        if a is not None:
-            return reprs(a)
+        if len(seq) >= REPEAT_MIN:
+            with suppress(OverflowError):  # an int beyond int64
+                return _numbers(np.fromiter(seq, np.int64 if kinds == {int} else np.float64, len(seq)))
         if kinds == {int} or math.isfinite(sum(seq)):
             return map(repr, seq)
     return [_encode(v, newline) for v in seq]
@@ -210,10 +248,16 @@ def _encode(o, newline: str) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        return "[" + inner + sep.join(_values(o, inner)) + newline + "]"
+        return f"[{inner}{sep.join(_values(o, inner))}{newline}]"
     if isinstance(o, dict):
         if not o:
             return "{}"
-        items = map("{}: {}".format, _keys(o), _values(list(o.values()), inner))
-        return "{" + inner + sep.join(items) + newline + "}"
+        items = map(": ".join, zip(_keys(o), _values(list(o.values()), inner)))
+        return f"{{{inner}{sep.join(items)}{newline}}}"
+    if type(o) is np.ndarray:
+        if o.ndim != 1 or o.dtype not in (np.int64, np.float64):
+            raise TypeError(f"an array of shape {o.shape} and dtype {o.dtype} is not JSON serializable")
+        if not o.size:
+            return "[]"
+        return f"[{inner}{sep.join(_numbers(o))}{newline}]"
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")

@@ -31,8 +31,10 @@ da/dt = -J^(p+1) (a - a*) and is A-stable there: dt grows by
 the step tends to Newton's.  Every flow therefore reads J, and a ricci flow
 whose J is not positive definite ends with JacobianNotPD.  Along Newton's
 direction the energy's slope is -|r|^2.  The guard rejects without
-raising, and curvature keeps its own gate (ADMISSIBILITY_EPS) as the
-public entry's check.  The step-control constants live in
+raising.  The start passes curvature's gate (ADMISSIBILITY_EPS), so an
+inadmissible start raises; a trial that clears STEP_MARGIN clears that
+gate too, so the loop evaluates it ungated (`conformal._evaluate`) and
+builds no ConformalFactor for it.  The step-control constants live in
 `hexflow.tolerances`.
 
 The loop records one `RunLog` row per accepted step.  Nothing in it reads
@@ -60,6 +62,7 @@ from .conformal import (
     default_base_point,
     factor_margin,
     min_eigenvalue,
+    _evaluate,
     _segment_curvature_integral,
 )
 from .errors import DomainError, JacobianNotPD, NotAttained
@@ -305,8 +308,8 @@ def _descend(s: Surface, path: list[np.ndarray], Kbar: np.ndarray, log: RunLog, 
         while STEP_FLOOR <= step < math.inf:
             trial = alpha + move(step)
             margin = factor_margin(s, trial)  # -inf outside the box
-            if margin >= STEP_MARGIN:
-                trial_c = curvature(s, ConformalFactor(trial), jacobian=True)
+            if margin >= STEP_MARGIN:  # so curvature's own gate would pass
+                trial_c = _evaluate(s, trial, jacobian=True)
                 trial_cal = calabi_energy(trial_c.K, Kbar)
                 if trial_cal <= cal:  # the Calabi energy may not rise
                     break

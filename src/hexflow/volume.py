@@ -11,7 +11,7 @@ the dihedral angles.
 
 `volume_grid` tabulates a chart over many points at once: one gate
 evaluation for all of them, the Hessians in batched kernel calls and the
-volumes in one batched line integral.
+volumes in one batched line integral, which gates nothing again.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .conformal import (
-    ConformalFactor, _faces, _segment_curvature_integral, curvature, factor_margins,
+    ConformalFactor, _faces, _segment_curvature_integral, _segment_integrals, curvature,
+    factor_margins,
 )
 from .errors import DomainError
 from .hexagon import CornerAlpha, FaceEta
@@ -97,7 +98,9 @@ def volume_grid(chart: PyramidChart, alphas: np.ndarray):
         eigs[i:i + BATCH_FACE_EVALS][ok] = np.linalg.eigvalsh(hessians)
     points, eigs = points[evaluated], eigs[evaluated]
     base = np.array(chart.base_alpha.as_tuple())
-    integrals = _segment_curvature_integral(surface, np.broadcast_to(base, points.shape), points)
+    # the chart admitted its base and the filter above every point: the
+    # segments' end points are gated once, here and in the chart
+    integrals = _segment_integrals(surface, np.broadcast_to(base, points.shape), points)
     return points, 0.0 - 0.5 * integrals, eigs  # as relative_volume: 0.0 at the base
 
 

@@ -15,11 +15,8 @@ import pytest
 
 from hexflow import (
     ConformalFactor,
-    Edge,
-    Face,
     HexflowError,
     NotAttained,
-    Surface,
     curvature,
     default_base_point,
     load_surface,
@@ -31,7 +28,7 @@ from hexflow import ParseError, cli, jsonio
 from hexflow.cli import main
 from hexflow.conformal import curvature_dump
 from hexflow.jsonio import REPEAT_MIN, dumps, load, reprs, write
-from conftest import FIXTURES, fixture_path, reference_factor
+from conftest import FIXTURES, fixture_path, reference_factor, torus
 
 ARCCOSH15 = math.acosh(1.5)
 
@@ -654,30 +651,6 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
-def torus_surface(m: int) -> Surface:
-    """An m x m torus grid (2 m^2 faces) with weights 1, 1 and -0.5 on the
-    horizontal, vertical and diagonal edges."""
-    def v(i, j):
-        return (i % m) * m + j % m
-
-    edges, faces = [], []
-    for i in range(m):
-        for j in range(m):
-            a = v(i, j)
-            edges += [
-                Edge(3 * a, (a, v(i, j + 1)), 1.0),
-                Edge(3 * a + 1, (a, v(i + 1, j)), 1.0),
-                Edge(3 * a + 2, (a, v(i + 1, j + 1)), -0.5),
-            ]
-            faces += [
-                Face(2 * a, (a, v(i, j + 1), v(i + 1, j + 1)),
-                     (3 * v(i, j + 1) + 1, 3 * a + 2, 3 * a)),
-                Face(2 * a + 1, (a, v(i + 1, j + 1), v(i + 1, j)),
-                     (3 * v(i + 1, j), 3 * a + 1, 3 * a + 2)),
-            ]
-    return Surface(m * m, edges, faces)
-
-
 ENCODER_EDGE_CASES = [
     -0.0, 1e-320, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
     [], {}, [[]], [{}], {"a": [], "b": {}}, (1, 2.5),
@@ -710,6 +683,47 @@ ENCODER_EDGE_CASES += [
 @pytest.mark.parametrize("value", ENCODER_EDGE_CASES, ids=repr)
 def test_encoder_edge_cases(value):
     assert dumps(value) == json.dumps(value, indent=1)
+
+
+def _arrays():
+    """1-d float64 and int64 arrays: empty, one item, REPEAT_MIN - 1 to
+    REPEAT_MIN + 1 items with and without repeats, a quarter of repeats
+    and one fewer, and a strided view."""
+    small = {
+        "floats": [0.0, -0.0, 5e-324, 1e16, 1e-05, 0.1, -2.5, 0.1, -0.0],
+        "non-finite": [1.0, math.nan, math.inf, 1.0, -math.inf, 0.0, -0.0],
+        "ints": [0, -1, 7, 2**63 - 1, -(2**63 - 1), -2**63, 7],
+    }
+    out = [np.array([], float), np.array([], np.int64), np.array([-0.0]), np.array([math.nan]),
+           np.array([-2**63]), np.array([2**63 - 1])]
+    out += [np.array(items, np.int64 if name == "ints" else float) for name, items in small.items()]
+    for n in (REPEAT_MIN - 1, REPEAT_MIN, REPEAT_MIN + 1):
+        out += [np.resize(np.array(items, np.int64 if name == "ints" else float), n)
+                for name, items in small.items()]
+        out += [0.1 * np.arange(n), np.arange(n) * 7919 - 2**62]
+        for repeats in (n // 4 - 1, -(-n // 4)):
+            out.append(np.concatenate((np.arange(n - repeats), np.arange(repeats))) * 0.5)
+    out.append((0.1 * np.arange(4 * REPEAT_MIN))[::3])
+    return out
+
+
+@pytest.mark.parametrize("a", _arrays(), ids=lambda a: f"{a.dtype}-{a.size}")
+def test_encoder_writes_arrays_as_their_lists(a):
+    assert dumps(a) == json.dumps(a.tolist(), indent=1)
+    nested = {"a": a, "b": [a, {"c": a}], "d": [1.5, a]}
+    assert dumps(nested) == json.dumps(nested, indent=1, default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((2, 2)), np.zeros((0, 3)), np.array(1.5), np.array([True, False]),
+    np.array([1.5], np.float32), np.array([1], np.int32), np.array([1], np.uint64),
+    np.array([1.5], ">f8"), np.array([1, 2.5], object),
+], ids=lambda a: f"{a.dtype.str}-{a.shape}")
+def test_encoder_rejects_other_arrays(a):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dumps(a)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dumps({"k": [a]})
 
 
 def test_reprs_tells_floats_apart_by_their_bits():
@@ -814,18 +828,22 @@ def test_failed_write_leaves_no_old_bytes(tmp_path):
 @pytest.mark.parametrize("fixture", ["f1", "f2"])
 @pytest.mark.parametrize("profile", ["eta0", "eta15", "mixed"])
 def test_encoder_matches_stdlib_on_dumps(fixture, profile):
+    # a dump holds its numbers as arrays; the stdlib writes them as lists
     s = load_surface(fixture_path(fixture, profile))
     for factor in (default_base_point(s), reference_factor(s)):
         data = curvature_dump(s, factor)
-        assert dumps(data) == json.dumps(data, indent=1)
+        assert dumps(data) == json.dumps(data, indent=1, default=np.ndarray.tolist)
     assert dumps(s.to_dict()) == json.dumps(s.to_dict(), indent=1)
 
 
 def test_encoder_matches_stdlib_on_a_large_surface():
-    s = torus_surface(11)
-    assert len(s.faces) == 242
+    # K, the triplet columns and the margins all hold at least REPEAT_MIN
+    # numbers
+    s = torus(24)
+    assert len(s.face_ids) == 1152
     data = curvature_dump(s, reference_factor(s))
-    assert dumps(data) == json.dumps(data, indent=1)
+    assert min(len(data["K"]), len(data["jacobian"]["vals"]), len(data["margins"])) >= REPEAT_MIN
+    assert dumps(data) == json.dumps(data, indent=1, default=np.ndarray.tolist)
     assert dumps(s.to_dict()) == json.dumps(s.to_dict(), indent=1)
 
 

@@ -215,11 +215,11 @@ def test_segment_integral_matches_scalar_oracle():
     assert _segment_curvature_integral(s, start, end) == pytest.approx(want, rel=RTOL)
 
 
-def test_segment_integral_checks_every_node():
+def test_segment_integral_gates_its_end_points():
     s = load("f1", "eta0")
     start = np.full(3, math.pi / 6)
-    # Gauss-Legendre nodes exclude the end points, so these errors come from
-    # the checks on the interior nodes
+    # no quadrature node is gated: these errors come from the gate on the
+    # end points, which rejects the bad end itself
     with pytest.raises(NotAdmissible) as err:
         _segment_curvature_integral(s, start, np.array([math.pi / 2 - 0.01, 0.7, 0.01]))
     assert err.value.report is not None and not err.value.report.admissible

@@ -30,7 +30,7 @@ from hexflow import (
 )
 import hexflow.conformal
 import hexflow.solve
-from hexflow.conformal import GlobalJacobian
+from hexflow.conformal import GlobalJacobian, _evaluate
 from hexflow.solve import (
     CONVERGED,
     MAX_ITERS,
@@ -57,13 +57,18 @@ def round_trip_problem(s, spread=0.02):
 
 
 def stub_jacobians(monkeypatch, jacobians):
-    """Make solve's curvature calls (the start, then every trial) return
-    the next of jacobians in place of the Jacobian."""
+    """Make solve's evaluations (the start through curvature, then every
+    trial through the ungated _evaluate) return the next of jacobians in
+    place of the Jacobian."""
 
-    def stubbed(s, a, jacobian=False):
-        return dataclasses.replace(curvature(s, a, jacobian), jacobian=next(jacobians))
+    def stub(evaluate):
+        def stubbed(s, a, jacobian=False):
+            return dataclasses.replace(evaluate(s, a, jacobian), jacobian=next(jacobians))
 
-    monkeypatch.setattr(hexflow.solve, "curvature", stubbed)
+        return stubbed
+
+    monkeypatch.setattr(hexflow.solve, "curvature", stub(curvature))
+    monkeypatch.setattr(hexflow.solve, "_evaluate", stub(_evaluate))
 
 
 @pytest.fixture(scope="module")
@@ -354,17 +359,25 @@ class TestDescendGuard:
         the path."""
         moved, evaluated = [], []
 
-        def checked_curvature(s, a, jacobian=False):
+        def checked(alpha):
             # the start, then only trials that cleared the box and STEP_MARGIN
-            assert np.all((a.alpha > 0.0) & (a.alpha < 0.5 * math.pi))
-            assert np.cos(a.alpha[0] + a.alpha[1]) >= STEP_MARGIN
-            evaluated.append(a.alpha)
+            assert np.all((alpha > 0.0) & (alpha < 0.5 * math.pi))
+            assert np.cos(alpha[0] + alpha[1]) >= STEP_MARGIN
+            evaluated.append(alpha)
+
+        def checked_curvature(s, a, jacobian=False):  # the start
+            checked(a.alpha)
             return curvature(s, a, jacobian=jacobian)
+
+        def checked_evaluate(s, alpha, jacobian=False):  # the trials
+            checked(alpha)
+            return _evaluate(s, alpha, jacobian=jacobian)
 
         def propose(c, _step):
             return (lambda h: moved.append(h) or move(h)), step
 
         monkeypatch.setattr(hexflow.solve, "curvature", checked_curvature)
+        monkeypatch.setattr(hexflow.solve, "_evaluate", checked_evaluate)
         path = [self.A0]
         why = _descend(pants, path, Kbar, RunLog(()), 1e-10, 1, propose, lambda *row: row)
         return why, moved, evaluated, path
@@ -684,10 +697,27 @@ class TestNewton:
         assert text.rstrip().endswith("# status=Converged")
 
 
+@pytest.mark.parametrize("method", ["ricci", "calabi"])
+def test_trials_pass_only_the_step_guard(sixhex_mixed, monkeypatch, method):
+    # the start passes curvature's gate; a trial that clears STEP_MARGIN
+    # clears that gate too, so it is evaluated ungated
+    _, Kbar, a0 = round_trip_problem(sixhex_mixed)
+    calls = Counter()
+    gate, evaluate = hexflow.conformal._check_factors, _evaluate
+    monkeypatch.setattr(hexflow.conformal, "_check_factors",
+                        lambda s, alpha: calls.update(["gate"]) or gate(s, alpha))
+    monkeypatch.setattr(hexflow.solve, "_evaluate",
+                        lambda *args, **kwargs: calls.update(["trial"]) or evaluate(*args, **kwargs))
+    _, trace = run_flow(sixhex_mixed, a0, Kbar, FlowConfig(method=method))  # the trace is not read
+    assert trace.status == CONVERGED
+    assert calls["gate"] == 1
+    assert calls["trial"] >= trace.last("step") > 1
+
+
 class TestOneEvaluationPerPoint:
     """Every point a flow or Newton visits runs the kernel once: the kernel
-    calls equal solve's curvature calls, and neither loop integrates until
-    its log is read."""
+    calls equal solve's evaluations (curvature at the start, _evaluate at
+    each trial), and neither loop integrates until its log is read."""
 
     @staticmethod
     def count(monkeypatch) -> Counter:
@@ -703,7 +733,9 @@ class TestOneEvaluationPerPoint:
         line_integral = hexflow.conformal.line_integral
         monkeypatch.setattr(hexflow.conformal, "face_kernel",
                             counting("kernel", hexflow.conformal.face_kernel))
+        # the start through curvature, every trial through _evaluate
         monkeypatch.setattr(hexflow.solve, "curvature", counting("curvature", curvature))
+        monkeypatch.setattr(hexflow.solve, "_evaluate", counting("curvature", _evaluate))
         monkeypatch.setattr(hexflow.conformal, "line_integral",
                             lambda f, *args, **kwargs: line_integral(
                                 counting("integrand", f), *args, **kwargs))

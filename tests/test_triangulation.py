@@ -1,6 +1,8 @@
+import gc
 import json
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from hexflow import (
     save_surface,
 )
 from hexflow.conformal import curvature_dump
-from hexflow.triangulation import STRUCTURE_LABELS
+from hexflow import triangulation
+from hexflow.triangulation import STRUCTURE_LABELS, _table
 from hexflow.volume import PyramidChart
 from conftest import fixture_path
 
@@ -468,6 +471,133 @@ def test_ids_beyond_int64_load(tmp_path):
     assert loaded == surface_from_records(data)
     assert loaded.edge(big).ends == (0, 2)
     assert loaded.to_dict() == data
+
+
+# entries of the integer columns (ends, corners, slot edge ids), which the
+# array pass reads with one fromiter over the chained rows: each case gives
+# the surface of the unchanged file, or the error, that the loader gave
+# when it read them with np.array
+SAME = object()
+TABLE_CASES = [
+    ('bool_ends', [(('edges', 0, 'ends'), [True, 2])], SAME),
+    ('bool_corners', [(('faces', 0, 'corners'), [False, True, 2])], SAME),
+    ('bools_only', [(('edges', 8, 'ends'), [False, True])], SAME),
+    ('bool_edge_id', [(('faces', 1, 'edges'), [False, 4, 7])], SAME),
+    ('float_one_end', [(('edges', 0, 'ends'), [1.0, 2])],
+     (ParseError, 'edge 0: ends must be a pair of integers')),
+    ('float_end', [(('edges', 0, 'ends'), [1, 2.5])],
+     (ParseError, 'edge 0: ends must be a pair of integers')),
+    ('float_one_corner', [(('faces', 2, 'corners'), [0, 1.0, 2])],
+     (ParseError, 'face 2: corners must be a triple of integers')),
+    ('float_edge_id', [(('faces', 2, 'edges'), [1, 4, 2.5])],
+     (ParseError, 'face 2: edges must be a triple of integers')),
+    ('string_end', [(('edges', 3, 'ends'), ['0', 2])],
+     (ParseError, 'edge 3: ends must be a pair of integers')),
+    ('string_row', [(('faces', 3, 'corners'), '012')],
+     (ParseError, 'face 3: corners must be a triple of integers')),
+    ('none_corner', [(('faces', 4, 'corners'), [0, None, 2])],
+     (ParseError, 'face 4: corners must be a triple of integers')),
+    ('none_row', [(('edges', 4, 'ends'), None)],
+     (ParseError, 'edge 4: ends must be a pair of integers')),
+    ('nested_end', [(('edges', 5, 'ends'), [[0], 2])],
+     (ParseError, 'edge 5: ends must be a pair of integers')),
+    ('nested_corners', [(('faces', 5, 'corners'), [[0, 1, 2]])],
+     (ParseError, 'face 5: corners must be a triple of integers')),
+    ('ragged_ends', [(('edges', 6, 'ends'), [0, 1, 1])],
+     (ParseError, 'edge 6: ends must be a pair of integers')),
+    ('ragged_corners', [(('faces', 1, 'corners'), [0, 1])],
+     (ParseError, 'face 1: corners must be a triple of integers')),
+    ('object_row', [(('edges', 7, 'ends'), {'a': 0, 'b': 1})],
+     (ParseError, 'edge 7: ends must be a pair of integers')),
+    ('end_beyond_int64', [(('edges', 2, 'ends'), [1, 2**63])],
+     (ValidationError, 'edge 2: endpoint 9223372036854775808 outside [0, 3)')),
+    ('corner_beyond_int64', [(('faces', 0, 'corners'), [0, -2**70, 2])],
+     (ValidationError, 'face 0: corner -1180591620717411303424 outside [0, 3)')),
+    ('edge_id_beyond_int64', [(('faces', 0, 'edges'), [0, 3, 2**64])],
+     (ValidationError, 'face 0: unknown edge id 18446744073709551616')),
+    ('empty_columns', [(('edges',), []), (('faces',), [])],
+     (ValidationError, 'boundary component 0 is a corner of no face')),
+    ('empty_faces', [(('faces',), [])],
+     (ValidationError, 'boundary component 0 is a corner of no face')),
+]
+
+
+@pytest.mark.parametrize("changes, want", [row[1:] for row in TABLE_CASES],
+                         ids=[row[0] for row in TABLE_CASES])
+def test_integer_columns_load_as_before(tmp_path, changes, want):
+    path = write_surface(tmp_path, mutated(changes))
+    if want is SAME:
+        assert load_surface(path) == load_surface(fixture_path("f2", "mixed"))
+        return
+    error, message = want
+    with pytest.raises(HexflowError) as info:
+        load_surface(path)
+    assert type(info.value) is error
+    assert str(info.value) == f"surface file {path}: {message}"
+
+
+@pytest.mark.parametrize("rows, width, want", [
+    ([], 3, np.empty((0, 3), np.intp)),
+    ([[True, False]], 2, np.array([[1, 0]])),
+    ([[1, True], (np.int32(2), np.bool_(True))], 2, np.array([[1, 1], [2, 1]])),
+    ([[2**63 - 1, -2**63]], 2, np.array([[2**63 - 1, -2**63]])),
+    ([[2**70, 1]], 2, np.array([[2**70, 1]], dtype=object)),
+    ([[-2**63 - 1, 0]], 2, np.array([[-2**63 - 1, 0]], dtype=object)),
+    ([[1.0, 2]], 2, None), ([[1, 2.5]], 2, None), ([[np.float32(1), 1]], 2, None),
+    ([["1", 2]], 2, None), (["ab"], 2, None), ([[None, 1]], 2, None), ([None], 2, None),
+    ([[1, [2]]], 2, None), ([[1, 2], [3]], 2, None), ([[1, 2, 3]], 2, None), ([5, 6], 2, None),
+], ids=repr)
+def test_table(rows, width, want):
+    got = _table(rows, width)
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == (object if want.dtype == object else np.intp)
+        assert got.shape == want.shape and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("kind", ["valid", "malformed", "invalid"])
+def test_load_surface_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, enabled, kind):
+    # the collector stays paused through the array pass, while the decoded
+    # records are alive
+    text = {"valid": json.dumps(pants_dict()), "malformed": "{\"n_boundary\": 3",
+            "invalid": json.dumps({**pants_dict(), "n_boundary": 0})}[kind]
+    path = tmp_path / "surf.json"
+    path.write_text(text)
+    seen, docs, resumed_with_doc = [], [], []
+    parse, load, enable = triangulation._parse_surface_dict, triangulation.load, gc.enable
+
+    class Doc(dict):  # the decoded document, which a weak reference can watch
+        pass
+
+    def loading(path, kind):
+        doc = load(path, kind)
+        doc = Doc(doc) if isinstance(doc, dict) else doc
+        docs.append(weakref.ref(doc))
+        return doc
+
+    monkeypatch.setattr(triangulation, "_parse_surface_dict",
+                        lambda data, strict: seen.append(gc.isenabled()) or parse(data, strict))
+    monkeypatch.setattr(triangulation, "load", loading)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    monkeypatch.setattr(gc, "enable", lambda: resumed_with_doc.append(
+        any(ref() is not None for ref in docs)) or enable())
+    try:
+        if kind == "valid":
+            assert load_surface(path) == pair_of_pants()
+        else:
+            with pytest.raises((ParseError, ValidationError), match=f"surface file {path}"):
+                load_surface(path)
+        assert gc.isenabled() is enabled
+    finally:
+        monkeypatch.setattr(gc, "enable", enable)
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == ([] if kind == "malformed" else [False])
+    if kind == "valid":
+        # the decoded records are gone before the collector resumes
+        assert resumed_with_doc == ([False] if enabled else [])
 
 
 def test_tuple_constructor_checks_shapes():

@@ -144,3 +144,27 @@ def test_concavity_along_chords():
 def test_chart_requires_admissible_base():
     with pytest.raises(NotAdmissible):
         PyramidChart(eta=FaceEta(0.0, 0.0, 0.0), base_alpha=CornerAlpha(0.8, 0.8, 0.8))
+
+
+def test_volume_run_gates_each_point_once(monkeypatch, capsys):
+    # the chart gates its base, volume_grid gates the grid, and the line
+    # integral of the volumes gates neither again
+    from hexflow import conformal, volume
+    from hexflow.cli import main
+
+    gated = []
+    margins = conformal.factor_margins
+
+    def spy(s, alpha):
+        gated.append(alpha.shape)
+        return margins(s, alpha)
+
+    monkeypatch.setattr(conformal, "factor_margins", spy)
+    monkeypatch.setattr(volume, "factor_margins", spy)
+    args = ["volume", "--eta", "1.5", "1.5", "1.5", "--base", "0.3", "0.3", "0.3",
+            "--grid-step", str(math.pi / 20)]
+    assert main(args) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(gated) == 2
+    assert gated[0] == (3,) and gated[1] == (1 + 9**3, 3)  # the base, then row 0 and the grid
+    assert len(rows) > 1
