@@ -32,7 +32,7 @@ from .jsonio import dump, load
 from .kernel import FaceValues, edge_margins, face_arcs, face_kernel
 from .quadrature import line_integral
 from .tolerances import ADMISSIBILITY_EPS, BATCH_FACE_EVALS, DENSE_EIG_MAX_N, SAMPLE_MAX_TRIES
-from .triangulation import CsrPattern, Surface
+from .triangulation import _R, CsrPattern, Surface
 
 _HALF_PI = 0.5 * math.pi
 
@@ -244,8 +244,8 @@ def curvature_from_lengths(s: Surface, lengths: dict[int, float]) -> np.ndarray:
     missing = set(s.edge_ids) - lengths.keys()
     if missing:
         raise LengthMismatch(f"lengths missing for edges {sorted(missing)}")
-    # (l_ij, l_ik, l_jk) per face; slot t holds the edge opposite corner t
-    L = np.array([lengths[e] for e in s.edge_ids], dtype=float)[s.slot_edges[:, ::-1]]
+    # (l_ij, l_ik, l_jk) per face
+    L = np.array([lengths[e] for e in s.edge_ids], dtype=float)[s.slot_edges[:, _R]]
     if not np.all((L > 0.0) & (L < math.inf)):
         raise DomainError("edge lengths must be positive and finite")
     with np.errstate(all="ignore"):
@@ -284,14 +284,6 @@ class GlobalJacobian:
         scale = max(1.0, abs(self.matrix).max() if self.matrix.nnz else 0.0)
         return float(abs(d).max() / scale) if d.nnz else 0.0
 
-    def to_coo_dict(self) -> dict:
-        """Triplets in row-major order, the order of the pattern."""
-        return {
-            "rows": self.pattern.rows.tolist(),
-            "cols": self.pattern.indices.tolist(),
-            "vals": self.data.tolist(),
-        }
-
 
 def min_eigenvalue(A) -> float:
     """The smallest eigenvalue of the symmetric A: exact (eigvalsh) for an
@@ -321,8 +313,10 @@ def _assemble(s: Surface, blocks: np.ndarray) -> GlobalJacobian:
 
 
 def default_base_point(s: Surface) -> ConformalFactor:
-    """A factor guaranteed admissible for this surface: all components equal
-    to half the tightest per-edge cap (capped at pi/4)."""
+    """A factor with all components equal to half the tightest per-edge cap
+    (capped at pi/4).  It is admissible unless the smallest weight is very
+    close to -1: there its smallest margin is about 0.75 (1 + min eta),
+    which the gate rejects once it falls to ADMISSIBILITY_EPS."""
     etas = s.edge_etas
     cap = 0.25 * math.pi
     if etas.size:

@@ -33,11 +33,13 @@ TypeError.  `dump(obj, path, kind)` writes it with a final newline; dict
 keys must be strings.  The stdlib falls back to its pure-Python encoder
 whenever `indent` is set; this one writes an array, or a list (or the
 values of a dict) that holds only floats or only ints, in a single join,
-which is all of a curvature dump but its keys.  At least REPEAT_MIN such
-numbers in which at least a quarter repeat go through the distinct values,
-each formatted once, with the one sort that found the repeats: the
-symmetric Jacobian of a dump holds every off-diagonal value twice, and its
-index columns hold each row or column index several times.  `reprs` does
+which is all of a curvature dump but its keys.  An array of at least
+REPEAT_MIN numbers in which at least a quarter repeat goes through its
+distinct values, each formatted once, with the one sort that found the
+repeats: the symmetric Jacobian of a dump holds every off-diagonal value
+twice, and its index columns hold each row or column index several times.
+A list is only joined: the long lists of the outputs, a dump's margins and
+a factor's components, repeat only at a uniform factor.  `reprs` does
 the same for an array of any shape and formats the cells of
 `hexflow volume`'s CSV.  Non-finite floats are written as `NaN`,
 `Infinity` and `-Infinity`, as the stdlib does by default.  Each
@@ -54,7 +56,7 @@ import json
 import math
 import os
 import stat
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
@@ -214,17 +216,12 @@ def _numbers(a: np.ndarray):
 
 
 def _values(seq: list, newline: str):
-    """The encoded items of seq: when they are all ints or all floats, in
-    one map (finite floats only: a sum that is not finite sends them the
-    long way), or as an array through _numbers when there are at least
-    REPEAT_MIN of them and no int lies beyond int64."""
+    """The encoded items of seq: in one map when they are all ints or all
+    finite floats (a sum that is not finite sends floats the long way),
+    else item by item."""
     kinds = set(map(type, seq))
-    if kinds == {int} or kinds == {float}:
-        if len(seq) >= REPEAT_MIN:
-            with suppress(OverflowError):  # an int beyond int64
-                return _numbers(np.fromiter(seq, np.int64 if kinds == {int} else np.float64, len(seq)))
-        if kinds == {int} or math.isfinite(sum(seq)):
-            return map(repr, seq)
+    if kinds == {int} or (kinds == {float} and math.isfinite(sum(seq))):
+        return map(repr, seq)
     return [_encode(v, newline) for v in seq]
 
 

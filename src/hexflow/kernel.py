@@ -32,16 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .triangulation import Surface
+from .triangulation import _P, _Q, _QQ, _R, Surface
 
-# Corner slots of the face sides (ij, ik, jk), in length order, and the
-# corner opposite each side.
-_P = np.array([0, 0, 1])
-_Q = np.array([1, 2, 2])
-_R = np.array([2, 1, 0])
-# For corner p: the other two corners (one per row), and the sides to them.
-_QQ = np.array([[1, 0, 0], [2, 2, 1]])
-_EE = np.array([[0, 0, 1], [1, 2, 2]])
 # Row-major 3x3 block from (J_ii, J_jj, J_kk, J_ij, J_ik, J_jk).
 _BLOCK = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
 
@@ -160,7 +152,9 @@ def face_kernel(
         # dth_p/dl_pq * dl_pq/da_p, where dth_p/dl_pq = -sinh(l_opp(p))
         # cosh(th_q) / A and dl_pq/da_p = -(cos a_q + e_pq cos a_p)
         # / (sinh(l_pq) sin(a_p)^2 sin(a_q)); the two signs cancel exactly.
-        dl = (ca.take(_QQ, 0) + eta.take(_EE, 0) * ca) / (sh.take(_EE, 0) * s2 * sa.take(_QQ, 0))
+        # The corners q are _QQ, and the sides pq are (_P, _Q).
+        pq = (_P, _Q)
+        dl = (ca.take(_QQ, 0) + eta.take(pq, 0) * ca) / (sh.take(pq, 0) * s2 * sa.take(_QQ, 0))
         terms = ((1.0 / A) * (sh.take(_R, 0) * np.cosh(arcs).take(_QQ, 0))) * dl
         J = _c_layout(np.concatenate((terms[0] + terms[1], off)).take(_BLOCK, 0))
         J = J.reshape(lengths.shape + (3,))

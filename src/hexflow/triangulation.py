@@ -6,6 +6,13 @@ slot t joins the two corners at the other slots.  Edges are identified by id,
 not by endpoint pair, so parallel edges and self-edges are representable and
 may carry distinct weights.
 
+The face-slot convention is stated once, here, by `_P`, `_Q`, `_R` and
+`_QQ`, which the other modules import.  The sides ij, ik, jk of a face
+with corner slots (i, j, k) = (0, 1, 2) join the slots (_P, _Q) = (0, 1),
+(0, 2), (1, 2).  The corner opposite each side, _R = (2, 1, 0), is also
+the slot that stores that side's edge.  _QQ[:, p] are the two corners
+other than p, and the sides to them are (_P, _Q)[:, p].
+
 A `Surface` is its index arrays (corners and weights per face, ends and
 weights per edge), held as its own attributes.  `load_surface` reads the
 JSON records straight into them.  Files and `Edge`/`Face` tuples are
@@ -35,6 +42,12 @@ logger = logging.getLogger(__name__)
 ETA_LOWER_BOUND = -1.0
 
 STRUCTURE_LABELS = ("gamma_i", "gamma_j", "gamma_k")
+
+# The face-slot convention of the module docstring.
+_P = np.array([0, 0, 1])
+_Q = np.array([1, 2, 2])
+_R = np.array([2, 1, 0])
+_QQ = np.array([[1, 0, 0], [2, 2, 1]])
 
 
 @dataclass(frozen=True)
@@ -204,10 +217,16 @@ class Surface:
         }
 
 
-# the corner slots the edge at slot t joins
-_OTHER_SLOTS = np.array([[1, 2], [2, 0], [0, 1]])
 # the types an end, corner or slot edge id may have (bools are integers)
 _INTEGER = (int, np.integer, np.bool_)
+
+
+def _len(row) -> int:
+    """len(row), or -1 for a row that has no length."""
+    try:
+        return len(row)
+    except TypeError:
+        return -1
 
 
 def _table(rows, width: int) -> np.ndarray | None:
@@ -240,8 +259,11 @@ def _compile(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> 
     edges no face references."""
     if not isinstance(n, int) or n <= 0:
         return None
-    etas = np.asarray(etas, dtype=float)
-    if len(set(edge_ids)) < len(edge_ids) or len(set(face_ids)) < len(face_ids):
+    try:  # a weight that is not a number, an id that is not hashable
+        etas = np.fromiter(etas, float, len(etas))
+        if len(set(edge_ids)) < len(edge_ids) or len(set(face_ids)) < len(face_ids):
+            return None
+    except (TypeError, ValueError, OverflowError):
         return None
     ends, corners, face_edges = _table(ends, 2), _table(corners, 3), _table(face_edges, 3)
     if ends is None or corners is None or face_edges is None:
@@ -267,7 +289,7 @@ def _compile(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> 
     # (min, max) pairs (np.sort along an axis of two took 2.4 ms against
     # 0.3 ms for this on the m = 64 torus, 2-vCPU x86-64 VM); an unknown
     # edge joins (-1, -1), which matches no pair
-    i, j = corners[:, _OTHER_SLOTS[:, 0]], corners[:, _OTHER_SLOTS[:, 1]]
+    i, j = corners[:, _QQ[0]], corners[:, _QQ[1]]
     lo = np.append(np.minimum(*ends.T), -1)[slot_edges]
     hi = np.append(np.maximum(*ends.T), -1)[slot_edges]
     if ((lo != np.minimum(i, j)) | (hi != np.maximum(i, j))).any():
@@ -279,7 +301,7 @@ def _compile(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> 
         unreferenced = sorted(edge_ids[i] for i in np.flatnonzero(~referenced))
         logger.warning("edges not referenced by any face: %s", unreferenced)
 
-    face_etas = etas[slot_edges[:, ::-1]]
+    face_etas = etas[slot_edges[:, _R]]
     for arr in (corners, face_etas, ends, etas, slot_edges):
         arr.flags.writeable = False  # shared by every evaluation on the surface
     return dict(
@@ -292,7 +314,7 @@ def _rows(rows, width: int) -> list:
     """rows as lists, each entry as the table (see _table) of the rows
     before the first one not `width` long holds it, so that a message shows
     what the array pass compared (an int for a bool in an integer table)."""
-    k = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+    k = next((i for i, row in enumerate(rows) if _len(row) != width), len(rows))
     table = _table(rows[:k], width)
     return [*(rows[:k] if table is None else table.tolist()), *rows[k:]]
 
@@ -306,6 +328,16 @@ def _check_entries(record: str, what: str, row, n=None) -> None:
             raise ValidationError(f"{record}: {what} {v} outside [0, {n})")
 
 
+def _check_id(kind: str, rid, seen) -> None:
+    """Raises unless the id of a `kind` record is hashable and not in seen."""
+    try:
+        duplicate = rid in seen
+    except TypeError:
+        raise ValidationError(f"{kind} {rid}: id is not hashable") from None
+    if duplicate:
+        raise ValidationError(f"duplicate {kind} id {rid}")
+
+
 def _validate(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> None:
     """The record walk over columns that _compile rejects: raises
     ValidationError (EtaOutOfRange for a weight at or below -1) for n, else
@@ -314,22 +346,24 @@ def _validate(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) ->
     if not isinstance(n, int) or n <= 0:
         raise ValidationError(f"n_boundary must be a positive integer, got {n!r}")
     ends_by_id = {}
-    for eid, pair, eta in zip(edge_ids, _rows(ends, 2), np.asarray(etas, dtype=float).tolist()):
-        if eid in ends_by_id:
-            raise ValidationError(f"duplicate edge id {eid}")
-        if len(pair) != 2:
+    for eid, pair, eta in zip(edge_ids, _rows(ends, 2), etas):
+        _check_id("edge", eid, ends_by_id)
+        if _len(pair) != 2:
             raise ValidationError(f"edge {eid}: ends must be a pair")
         _check_entries(f"edge {eid}", "endpoint", pair, n)
+        try:  # as the array pass converts it
+            (eta,) = np.fromiter([eta], float, 1).tolist()
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"edge {eid}: eta {eta!r} does not convert to a float") from None
         if not eta > ETA_LOWER_BOUND:
             raise EtaOutOfRange(f"edge {eid}: eta = {eta!r} is not > {ETA_LOWER_BOUND}")
         ends_by_id[eid] = sorted(map(int, pair))
 
     seen = set()
     for fid, cs, es in zip(face_ids, _rows(corners, 3), _rows(face_edges, 3)):
-        if fid in seen:
-            raise ValidationError(f"duplicate face id {fid}")
+        _check_id("face", fid, seen)
         seen.add(fid)
-        if len(cs) != 3 or len(es) != 3:
+        if _len(cs) != 3 or _len(es) != 3:
             raise ValidationError(f"face {fid}: corners and edges must be triples")
         _check_entries(f"face {fid}", "corner", cs, n)
         _check_entries(f"face {fid}", "edge id", es)
@@ -350,12 +384,6 @@ def _validate(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) ->
         raise ValidationError(f"boundary component {untouched} is a corner of no face")
 
 
-# gamma_t = e[summand] + e[factor 0] * e[factor 1] over the columns
-# (e_ij, e_ik, e_jk) of Surface.etas, for t = i, j, k
-_GAMMA_SUMMAND = np.array([2, 1, 0])
-_GAMMA_FACTORS = np.array([[0, 0, 1], [1, 2, 2]])
-
-
 def check_structure_condition(s: Surface) -> list[tuple[int, str, float]]:
     """Evaluate the per-face weight inequalities gamma >= 0.
 
@@ -365,7 +393,9 @@ def check_structure_condition(s: Surface) -> list[tuple[int, str, float]]:
     the condition holds.
     """
     e = s.etas  # columns e_ij, e_ik, e_jk
-    gammas = e[:, _GAMMA_SUMMAND] + e[:, _GAMMA_FACTORS[0]] * e[:, _GAMMA_FACTORS[1]]
+    # weights are > -1, so a product that overflows is +inf, the right value
+    with np.errstate(over="ignore"):
+        gammas = e[:, _R] + e[:, _P] * e[:, _Q]
     faces, slots = (gammas < 0.0).nonzero()
     ids = s.face_ids
     return [

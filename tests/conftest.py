@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexflow import ConformalFactor, default_base_point, load_surface
+from hexflow import ConformalFactor, CornerAlpha, FaceEta, default_base_point, load_surface
 from hexflow.triangulation import _parse_surface_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,3 +70,13 @@ def reference_factor(surface) -> ConformalFactor:
 
 def alpha_third() -> float:
     return math.pi / 6.0
+
+
+def random_admissible_alpha(rng, eta: FaceEta, margin=1e-3) -> CornerAlpha:
+    """A uniform draw of one face's corners with every edge margin above
+    margin."""
+    while True:
+        a = rng.uniform(margin, math.pi / 2 - margin, size=3)
+        pairs = ((a[0], a[1], eta.e_ij), (a[0], a[2], eta.e_ik), (a[1], a[2], eta.e_jk))
+        if all(math.cos(x + y) + e > margin for x, y, e in pairs):
+            return CornerAlpha(*a)

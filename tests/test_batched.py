@@ -30,7 +30,7 @@ from hexflow import (
     volume_hessian,
 )
 from hexflow.cli import main
-from hexflow.conformal import _check_factors, _faces, _segment_curvature_integral
+from hexflow.conformal import _check_factors, _faces, _segment_curvature_integral, curvature_dump
 from hexflow.solve import FlowConfig, run_flow
 from hexflow.tolerances import QUAD_INIT_NODES, QUAD_MAX_NODES, QUAD_REL_TOL
 from conftest import PROFILES, fixture_path, load, reference_factor, torus
@@ -404,11 +404,13 @@ def surfaces():
 
 def test_dense_and_coo_dump_equal_the_scipy_matrix():
     for s in surfaces():
-        J = global_jacobian(s, reference_factor(s))
+        a = reference_factor(s)
+        J = global_jacobian(s, a)
         assert np.array_equal(J.dense(), J.matrix.toarray())
         coo = J.matrix.tocoo()
         order = np.lexsort((coo.col, coo.row))
-        assert J.to_coo_dict() == {
+        triplets = curvature_dump(s, a)["jacobian"]
+        assert {k: v.tolist() for k, v in triplets.items()} == {
             "rows": [int(r) for r in coo.row[order]],
             "cols": [int(c) for c in coo.col[order]],
             "vals": [float(v) for v in coo.data[order]],

@@ -20,6 +20,7 @@ from hexflow import (
     curvature,
     default_base_point,
     load_surface,
+    pair_of_pants,
     save_factor,
     save_surface,
 )
@@ -1181,3 +1182,26 @@ def test_far_target_exits_without_warnings(profile, start, K, command, factor_fi
         warnings.simplefilter("error")
         code = main(argv)
     assert code == (code_1e200 if K == 1e200 else code_max)
+
+
+# Weights so large that a product of two overflows: gamma is +inf, the right
+# value, so validate passes, and every command keeps its exit code with no
+# numpy RuntimeWarning.
+HUGE_WEIGHT_CODES = {"validate": 0, "curvature": 2, "flow": 2, "solve": 2, "jacobian-check": 2}
+
+
+@pytest.mark.parametrize("command", sorted(HUGE_WEIGHT_CODES))
+@pytest.mark.parametrize("etas", [(1e200, 1e200, 1e200), (-0.5, 1e200, 1e200)], ids=repr)
+def test_huge_weights_exit_without_warnings(command, etas, factor_file, target_file, tmp_path,
+                                            capsys):
+    surface = pair_of_pants(etas)
+    path = str(tmp_path / "pants.json")
+    save_surface(surface, path)
+    files = [factor_file(default_base_point(surface).alpha), target_file([1.2, 1.3, 1.4])]
+    argv = {"validate": [], "curvature": files[:1], "jacobian-check": []}.get(command, files)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, path, *argv])
+    assert code == HUGE_WEIGHT_CODES[command]
+    if code == 0:
+        assert "structure_condition: holds" in capsys.readouterr().out

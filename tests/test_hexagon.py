@@ -22,6 +22,7 @@ from hexflow import (
     length_jacobian_fd,
 )
 from hexflow.hexagon import cosine_law_residual, length_alpha_jacobian
+from conftest import random_admissible_alpha
 
 ARCCOSH3 = math.acosh(3.0)
 
@@ -33,14 +34,6 @@ ETA_TRIPLES = [
     (-0.5, 1.0, 1.0),
     (0.3, -0.2, 0.8),
 ]
-
-
-def random_admissible_alpha(rng, eta: FaceEta, margin=1e-3) -> CornerAlpha:
-    while True:
-        a = rng.uniform(margin, math.pi / 2 - margin, size=3)
-        pairs = ((a[0], a[1], eta.e_ij), (a[0], a[2], eta.e_ik), (a[1], a[2], eta.e_jk))
-        if all(math.cos(x + y) + e > margin for x, y, e in pairs):
-            return CornerAlpha(*a)
 
 
 class TestEdgeLength:

@@ -621,6 +621,21 @@ def test_tuple_constructor_checks_shapes():
         Surface(3, edges, faces + [Face(1, (0, 1, 2), (0, 1.0, 2))])
     with pytest.raises(ValidationError, match="^face 1: edge id '2' is not an integer$"):
         Surface(3, edges, faces + [Face(1, (0, 1, 2), (0, 1, "2"))])
+    # a field of the wrong kind raises ValidationError naming its record
+    with pytest.raises(ValidationError, match="^edge 0: ends must be a pair$"):
+        Surface(3, [Edge(0, 5, 0.0), *edges[1:]], faces)
+    with pytest.raises(ValidationError, match="^face 0: corners and edges must be triples$"):
+        Surface(3, edges, [Face(0, 7, (0, 1, 2))])
+    with pytest.raises(ValidationError, match="^face 0: corners and edges must be triples$"):
+        Surface(3, edges, [Face(0, (0, 1, 2), None)])
+    with pytest.raises(ValidationError, match="^edge 0: eta 'x' does not convert to a float$"):
+        Surface(3, [Edge(0, (1, 2), "x"), *edges[1:]], faces)
+    with pytest.raises(ValidationError, match=r"^edge 0: eta \[0\.5\] does not convert to a float$"):
+        Surface(3, [Edge(0, (1, 2), [0.5]), *edges[1:]], faces)
+    with pytest.raises(ValidationError, match=r"^edge \[0\]: id is not hashable$"):
+        Surface(3, [Edge([0], (1, 2), 0.0), *edges[1:]], faces)
+    with pytest.raises(ValidationError, match=r"^face \[0\]: id is not hashable$"):
+        Surface(3, edges, [Face([0], (0, 1, 2), (0, 1, 2))])
     s = Surface(3, [Edge(0, (True, 2), 0.0), *edges[1:]], faces + [Face(1, (False, 1, 2), (0, True, 2))])
     assert s.corners.tolist() == [[0, 1, 2], [0, 1, 2]]
     assert s.slot_edges.tolist() == [[0, 1, 2], [0, 1, 2]]

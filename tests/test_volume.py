@@ -13,6 +13,7 @@ from hexflow import (
     volume_gradient,
     volume_hessian,
 )
+from conftest import random_admissible_alpha
 
 ETA_PROFILES = [
     (0.0, 0.0, 0.0),
@@ -24,14 +25,6 @@ ETA_PROFILES = [
 def chart_for(etas):
     base = CornerAlpha(0.25, 0.25, 0.25)
     return PyramidChart(eta=FaceEta(*etas), base_alpha=base)
-
-
-def random_admissible(rng, eta: FaceEta, margin=1e-3) -> CornerAlpha:
-    while True:
-        a = rng.uniform(margin, math.pi / 2 - margin, size=3)
-        pairs = ((a[0], a[1], eta.e_ij), (a[0], a[2], eta.e_ik), (a[1], a[2], eta.e_jk))
-        if all(math.cos(x + y) + e > margin for x, y, e in pairs):
-            return CornerAlpha(*a)
 
 
 def test_zero_at_base():
@@ -120,7 +113,7 @@ def test_concave_everywhere_sampled(etas):
     chart = chart_for(etas)
     rng = np.random.default_rng(60)
     for _ in range(100):
-        a = random_admissible(rng, chart.eta)
+        a = random_admissible_alpha(rng, chart.eta)
         H = volume_hessian(chart, a)
         assert np.linalg.eigvalsh(H).max() < 0.0
 
@@ -129,8 +122,8 @@ def test_concavity_along_chords():
     chart = chart_for((-0.5, 1.0, 1.0))
     rng = np.random.default_rng(61)
     for _ in range(10):
-        p = np.array(random_admissible(rng, chart.eta, margin=5e-3).as_tuple())
-        q = np.array(random_admissible(rng, chart.eta, margin=5e-3).as_tuple())
+        p = np.array(random_admissible_alpha(rng, chart.eta, margin=5e-3).as_tuple())
+        q = np.array(random_admissible_alpha(rng, chart.eta, margin=5e-3).as_tuple())
         Vp = relative_volume(chart, CornerAlpha(*p))
         Vq = relative_volume(chart, CornerAlpha(*q))
         Vm = relative_volume(chart, CornerAlpha(*(0.5 * (p + q))))
