@@ -102,6 +102,9 @@ def _load_target(path, n: int) -> np.ndarray:
     data = load(path, "target")
     if not isinstance(data, dict) or "K" not in data:
         raise ParseError(f"target file {path} must be an object with key 'K'")
+    # numpy would read a string or a boolean as a number
+    if isinstance(data["K"], list) and set(map(type, data["K"])) & {str, bool}:
+        raise ParseError(f"target file {path}: every entry of 'K' must be a number")
     try:
         K = np.asarray(data["K"], dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -74,17 +74,19 @@ class ConformalFactor:
 
 
 def load_factor(path, n: int | None = None) -> ConformalFactor:
-    """Read a factor file holding exactly one of the keys "alpha" or "u"."""
+    """Read a factor file holding exactly one of the keys "alpha" or "u";
+    a string or a boolean in its list is not read as a number."""
     data = load(path, "factor")
-    if not isinstance(data, dict) or len(data.keys() & {"alpha", "u"}) != 1:
+    if not isinstance(data, dict) or len(keys := data.keys() & {"alpha", "u"}) != 1:
         raise ParseError(
             f"factor file {path} must hold exactly one of the keys 'alpha' or 'u'"
         )
+    (key,) = keys
+    if isinstance(data[key], list) and set(map(type, data[key])) & {str, bool}:
+        raise ParseError(f"factor file {path}: every entry of {key!r} must be a number")
     try:
-        if "alpha" in data:
-            factor = ConformalFactor(np.asarray(data["alpha"], dtype=float))
-        else:
-            factor = ConformalFactor.from_u(np.asarray(data["u"], dtype=float))
+        values = np.asarray(data[key], dtype=float)
+        factor = ConformalFactor(values) if key == "alpha" else ConformalFactor.from_u(values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"factor file {path}: {exc}") from exc
     except DomainError as exc:

@@ -107,9 +107,12 @@ class Surface:
     pass strict_mode=False to admit them (the conformal layer then sums
     partial derivatives over the repeated slots).
 
-    The constructor takes Edge and Face tuples and keeps them; a surface
-    read by load_surface has only its arrays, and `edges`, `faces`,
-    `edge()` and `face_etas()` build their tuples from them on first use.
+    The arrays are the surface's one state, however it was built: the
+    constructor compiles its Edge and Face tuples into them and keeps
+    nothing else, as load_surface does with a file's records.  `edges`,
+    `faces`, `edge()` and `face_etas()` build their tuples from the arrays
+    on first use, and `to_dict()` its records from those tuples, so every
+    view reads the weights the kernel reads.
     """
 
     def __init__(self, n_boundary: int, edges, faces, strict_mode: bool = True):
@@ -120,7 +123,7 @@ class Surface:
             [f.id for f in faces], [f.corners for f in faces], [f.edges for f in faces],
         )
         fields = _compile(*columns) or _validate(*columns)  # the record walk raises
-        vars(self).update(fields, edges=edges, faces=faces)
+        vars(self).update(fields)
 
     @classmethod
     def _of_fields(cls, fields: dict) -> Surface:
@@ -196,23 +199,14 @@ class Surface:
     def face_etas(self, face: Face) -> tuple[float, float, float]:
         """Weights of a face's edges as (e_ij, e_ik, e_jk) for corner slots
         (i, j, k) = (0, 1, 2); slot t stores the edge opposite corner t."""
-        e_jk = self._edge_by_id[face.edges[0]].eta
-        e_ik = self._edge_by_id[face.edges[1]].eta
-        e_ij = self._edge_by_id[face.edges[2]].eta
-        return (e_ij, e_ik, e_jk)
+        return tuple(self._edge_by_id[eid].eta for eid in reversed(face.edges))
 
     def to_dict(self) -> dict:
-        ids = self.edge_ids
-        rows = zip(self.face_ids, self.corners.tolist(), self.slot_edges.tolist())
         return {
             "n_boundary": self.n_boundary,
-            "edges": [
-                {"id": eid, "ends": ends, "eta": eta}
-                for eid, ends, eta in zip(ids, self.ends.tolist(), self.edge_etas.tolist())
-            ],
+            "edges": [{"id": e.id, "ends": list(e.ends), "eta": e.eta} for e in self.edges],
             "faces": [
-                {"id": fid, "corners": corners, "edges": [ids[i], ids[j], ids[k]]}
-                for fid, corners, (i, j, k) in rows
+                {"id": f.id, "corners": list(f.corners), "edges": list(f.edges)} for f in self.faces
             ],
         }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -5,7 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexflow import ConformalFactor, CornerAlpha, FaceEta, default_base_point, load_surface
+import hexflow.solve
+from hexflow import (
+    ConformalFactor,
+    CornerAlpha,
+    FaceEta,
+    curvature,
+    default_base_point,
+    load_surface,
+)
+from hexflow.conformal import _evaluate
 from hexflow.triangulation import _parse_surface_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,3 +90,18 @@ def random_admissible_alpha(rng, eta: FaceEta, margin=1e-3) -> CornerAlpha:
         pairs = ((a[0], a[1], eta.e_ij), (a[0], a[2], eta.e_ik), (a[1], a[2], eta.e_jk))
         if all(math.cos(x + y) + e > margin for x, y, e in pairs):
             return CornerAlpha(*a)
+
+
+def stub_jacobians(monkeypatch, jacobians):
+    """Make solve's evaluations (the start through curvature, then every
+    trial through the ungated _evaluate) return the next of jacobians in
+    place of the Jacobian."""
+
+    def stub(evaluate):
+        def stubbed(s, a, jacobian=False):
+            return dataclasses.replace(evaluate(s, a, jacobian), jacobian=next(jacobians))
+
+        return stubbed
+
+    monkeypatch.setattr(hexflow.solve, "curvature", stub(curvature))
+    monkeypatch.setattr(hexflow.solve, "_evaluate", stub(_evaluate))

@@ -1,6 +1,7 @@
 import errno
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from hexflow import ParseError, cli, jsonio
 from hexflow.cli import main
 from hexflow.conformal import curvature_dump
 from hexflow.jsonio import REPEAT_MIN, dumps, load, reprs, write
-from conftest import FIXTURES, fixture_path, reference_factor, torus
+from conftest import FIXTURES, fixture_path, reference_factor, stub_jacobians, torus
 
 ARCCOSH15 = math.acosh(1.5)
 
@@ -242,6 +243,18 @@ class TestFlow:
         fpath, tpath = self.setup_problem(factor_file, target_file)
         assert main(["flow", pants_path, fpath, tpath, "--method", "fractional", "--s", "1000"]) == 2
 
+    def test_jacobian_not_pd_exit_5(self, pants_path, factor_file, target_file, tmp_path,
+                                    monkeypatch, capsys):
+        stub_jacobians(monkeypatch, itertools.repeat(np.diag([1.0, 1.0, -1.0])))
+        fpath, tpath = self.setup_problem(factor_file, target_file)
+        trace, out = tmp_path / "trace.csv", tmp_path / "final.json"
+        args = ["--method", "calabi", "--trace", str(trace), "--out", str(out)]
+        assert main(["flow", pants_path, fpath, tpath, *args]) == 5
+        assert capsys.readouterr().out.startswith("status=JacobianNotPD steps=0 ")
+        assert trace.read_text().splitlines()[-1] == "# status=JacobianNotPD"
+        # the flow stops at its start, which it writes as its final factor
+        assert json.loads(out.read_text()) == json.loads(Path(fpath).read_text())
+
     def test_writes_final_factor(self, pants_path, factor_file, target_file, tmp_path):
         fpath, tpath = self.setup_problem(factor_file, target_file)
         out = tmp_path / "final.json"
@@ -302,6 +315,19 @@ class TestSolve:
         fpath = factor_file([math.pi / 6] * 3)
         tpath = target_file([1e6, 1.0, 1.0])
         assert main(["solve", pants_path, fpath, tpath, "--max-iters", "5"]) == 4
+
+    def test_jacobian_not_pd_exit_5_writes_nothing(self, pants_path, factor_file, target_file,
+                                                   tmp_path, monkeypatch, capsys):
+        # unlike an exit-6 solve, which writes its log and its last iterate
+        stub_jacobians(monkeypatch, itertools.repeat(np.diag([1.0, 1.0, -1.0])))
+        log, out = tmp_path / "log.csv", tmp_path / "out.json"
+        inputs = [pants_path, factor_file([0.5, 0.6, 0.7]), target_file([1.2, 1.3, 1.4])]
+        assert main(["solve", *inputs, "--log", str(log), "--out", str(out)]) == 5
+        assert capsys.readouterr().err.startswith(
+            "jacobian not positive definite: curvature Jacobian not positive definite "
+            "on consecutive iterations"
+        )
+        assert not log.exists() and not out.exists()
 
     def test_not_attained_exit_6(self, pants_path, factor_file, target_file, monkeypatch):
         import hexflow.cli as climod
@@ -451,7 +477,15 @@ def test_file_errors_name_the_path_once(pants_path, factor_file, tmp_path, capsy
      "factor file {}: conformal factor components must lie in (0, pi/2)"),
     ("target", {"K": [1.0, 1.0]}, "target file {} has 2 components, surface has 3"),
     ("target", {"K": [[1.0, 1.0, 1.0]]}, "target file {} has shape (1, 3), surface has 3"),
-], ids=["factor-shape", "factor-u-range", "target-length", "target-shape"])
+    # numpy would read these entries as numbers; a surface weight "0.5" is rejected too
+    ("factor", {"alpha": ["0.5", 0.6, 0.7]}, "factor file {}: every entry of 'alpha' must be a number"),
+    ("factor", {"u": ["0.3", 0.2, 0.1]}, "factor file {}: every entry of 'u' must be a number"),
+    ("factor", {"alpha": [True, 0.6, 0.7]}, "factor file {}: every entry of 'alpha' must be a number"),
+    ("factor", {"alpha": [False, 0.6, 0.7]}, "factor file {}: every entry of 'alpha' must be a number"),
+    ("target", {"K": ["1.2", 1.3, 1.4]}, "target file {}: every entry of 'K' must be a number"),
+    ("target", {"K": [True, 1.3, 1.4]}, "target file {}: every entry of 'K' must be a number"),
+], ids=["factor-shape", "factor-u-range", "target-length", "target-shape", "factor-string",
+        "factor-u-string", "factor-true", "factor-false", "target-string", "target-true"])
 def test_content_errors_name_the_file(pants_path, factor_file, target_file, tmp_path, capsys,
                                       kind, content, message):
     paths = {"factor": factor_file([math.pi / 6] * 3), "target": target_file([1.0] * 3)}

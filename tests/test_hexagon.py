@@ -21,7 +21,7 @@ from hexflow import (
     hexagon_angles,
     length_jacobian_fd,
 )
-from hexflow.hexagon import cosine_law_residual, length_alpha_jacobian
+from hexflow.hexagon import acosh1p, cosine_law_residual, length_alpha_jacobian
 from conftest import random_admissible_alpha
 
 ARCCOSH3 = math.acosh(3.0)
@@ -350,3 +350,13 @@ class TestLengthJacobianDeterminant:
 def test_central_difference_rejects_bad_step(h):
     with pytest.raises(DomainError):
         face_jacobian_fd(CornerAlpha(0.4, 0.5, 0.6), FaceEta(0.0, 0.0, 0.0), h=h)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CornerAlpha(0.0, 0.5, 0.5), r"^a_i = 0\.0 outside \(0, pi/2\)$"),
+    (lambda: FaceEta(-1.0, 0.0, 0.0), r"^e_ij = -1\.0 is not > -1$"),
+    (lambda: acosh1p(-1e-3), r"^arccosh argument below 1: 1 \+ -0\.001$"),
+], ids=["corner-at-zero", "eta-at-minus-one", "acosh-below-one"])
+def test_arguments_outside_the_domain_raise(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -43,7 +42,7 @@ from hexflow.solve import (
 )
 from hexflow.tolerances import DENSE_EIG_MAX_N, STEP_FLOOR, STEP_MARGIN, STEP_SHRINK
 from hexflow.triangulation import CsrPattern
-from conftest import PROFILES, SURFACE_FILES, load, reference_factor, torus
+from conftest import PROFILES, SURFACE_FILES, load, reference_factor, stub_jacobians, torus
 
 
 def round_trip_problem(s, spread=0.02):
@@ -54,21 +53,6 @@ def round_trip_problem(s, spread=0.02):
     delta = spread * np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
     a0 = ConformalFactor(abar.alpha + delta)
     return abar, Kbar, a0
-
-
-def stub_jacobians(monkeypatch, jacobians):
-    """Make solve's evaluations (the start through curvature, then every
-    trial through the ungated _evaluate) return the next of jacobians in
-    place of the Jacobian."""
-
-    def stub(evaluate):
-        def stubbed(s, a, jacobian=False):
-            return dataclasses.replace(evaluate(s, a, jacobian), jacobian=next(jacobians))
-
-        return stubbed
-
-    monkeypatch.setattr(hexflow.solve, "curvature", stub(curvature))
-    monkeypatch.setattr(hexflow.solve, "_evaluate", stub(_evaluate))
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +314,13 @@ class TestVelocity:
         with pytest.raises(DomainError, match="s = 1000"):
             velocity("fractional", 1000.0, np.ones(2), np.full(2, 2.0), J)
 
+    @pytest.mark.parametrize("method, dt", [("calabi", 0.0), ("fractional", 0.0), ("ricci", 0.5)])
+    def test_missing_jacobian_rejected(self, state, method, dt):
+        # every velocity but the explicit ricci one reads J
+        K, Kbar, _ = state
+        with pytest.raises(DomainError, match="needs the curvature Jacobian"):
+            velocity(method, 0.5, K, Kbar, dt=dt)
+
     def test_unknown_method(self, state):
         K, Kbar, J = state
         with pytest.raises(DomainError):
@@ -481,6 +472,12 @@ class TestRunFlow:
         _, t_calabi = run_flow(pants, a0, Kbar, FlowConfig(method="calabi"))
         _, t_frac1 = run_flow(pants, a0, Kbar, FlowConfig(method="fractional", s=1.0))
         assert t_calabi.to_csv() == t_frac1.to_csv()
+
+    def test_decay_rate_needs_two_rows(self, pants):
+        _, Kbar, a0 = round_trip_problem(pants)
+        _, trace = run_flow(pants, a0, Kbar, FlowConfig(method="ricci", max_steps=0))
+        assert len(trace.rows) == 1
+        assert math.isnan(measured_decay_rate(trace))
 
     def test_geometric_decay(self, pants):
         _, Kbar, a0 = round_trip_problem(pants)
@@ -635,6 +632,14 @@ class TestNewton:
         starts = [sample_admissible(s, rng, margin=1e-3) for _ in range(4)]
         sol = solve_prescribed_multistart(s, starts, Kbar)
         assert np.abs(sol.alpha - abar.alpha).max() < 1e-8
+
+    def test_multistart_disagreement_raises(self, pants, monkeypatch):
+        _, Kbar, a0 = round_trip_problem(pants)
+        factor, log = solve_prescribed(pants, a0, Kbar)
+        factors = iter([factor, ConformalFactor(factor.alpha + [0.0, 0.0, 1e-6])])
+        monkeypatch.setattr(hexflow.solve, "solve_prescribed", lambda *args: (next(factors), log))
+        with pytest.raises(AssertionError, match="^multi-start solutions disagree by 1.000e-06 "):
+            solve_prescribed_multistart(pants, [a0, a0], Kbar)
 
     def test_huge_target_is_controlled(self, pants):
         a0 = reference_factor(pants)

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import weakref
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from hexflow.conformal import curvature_dump
 from hexflow import triangulation
 from hexflow.triangulation import STRUCTURE_LABELS, _table
 from hexflow.volume import PyramidChart
-from conftest import fixture_path
+from conftest import SURFACE_FILES, fixture_path
 
 
 def write_surface(tmp_path, data, name="surf.json"):
@@ -192,6 +193,9 @@ class TestStructureCondition:
 def test_surface_is_immutable(pants):
     with pytest.raises(AttributeError):
         pants.n_boundary = 5
+    with pytest.raises(FrozenInstanceError, match="^cannot delete field 'n_boundary'$"):
+        del pants.n_boundary
+    assert pants.n_boundary == 3
 
 
 def test_face_etas_positional_convention(pants_mixed):
@@ -444,6 +448,8 @@ def test_tuples_and_file_give_the_same_surface(fixture, profile):
     path = fixture_path(fixture, profile)
     built = surface_from_records(json.loads(path.read_text()))
     loaded = load_surface(path)
+    # one state, the arrays, however the surface was built
+    assert set(vars(built)) == set(vars(loaded))
     assert built == loaded
     for field in ("face_ids", "corners", "etas", "edge_ids", "ends", "edge_etas", "slot_edges"):
         a, b = getattr(built, field), getattr(loaded, field)
@@ -639,6 +645,14 @@ def test_tuple_constructor_checks_shapes():
     s = Surface(3, [Edge(0, (True, 2), 0.0), *edges[1:]], faces + [Face(1, (False, 1, 2), (0, True, 2))])
     assert s.corners.tolist() == [[0, 1, 2], [0, 1, 2]]
     assert s.slot_edges.tolist() == [[0, 1, 2], [0, 1, 2]]
+    # the views read the arrays: a weight the array pass converts is read
+    # as its float, and ends given as a list come back as a hashable pair
+    s = Surface(3, [Edge(0, (1, 2), "0.5"), Edge(1, [0, 2], 0.0), edges[2]], faces)
+    assert s.edge_etas[0] == 0.5
+    assert s.edges[0].eta == s.edge(0).eta == s.face_etas(s.faces[0])[2] == 0.5
+    assert type(s.edges[0].eta) is float
+    assert s.edges[1] == s.edge(1) == Edge(1, (0, 2), 0.0)
+    assert hash(s.edges[1]) == hash(Edge(1, (0, 2), 0.0))
 
 
 @pytest.mark.parametrize("make", [
@@ -658,12 +672,20 @@ def test_surface_arrays_are_read_only(make):
 
 
 def test_loaded_surface_builds_no_tuples(tmp_path):
-    s = load_surface(fixture_path("f2", "mixed"))
+    path = fixture_path("f2", "mixed")
+    s = load_surface(path)
     assert "edges" not in vars(s) and "faces" not in vars(s)
     curvature_dump(s, default_base_point(s))
     check_structure_condition(s)
     assert "edges" not in vars(s) and "faces" not in vars(s)
     assert len(s.faces) == 6 and "faces" in vars(s)
+    # nor does a surface built from tuples keep them: it holds what a
+    # loaded one holds
+    for key in SURFACE_FILES:
+        path = fixture_path(*key)
+        built = surface_from_records(json.loads(path.read_text()))
+        assert set(vars(built)) == set(vars(load_surface(path)))
+        assert "edges" not in vars(built) and "faces" not in vars(built)
 
 
 def test_surface_is_hashable_and_equal_by_content():
