@@ -8,7 +8,8 @@ reductions are ordered and floats are written in shortest round-trip
 decimal.  Output paths are checked before any work, so an output that is
 a directory or lies in a missing directory exits 2 whatever the run would
 have ended with, and a command leaves all of its output files or none.
-A solve that exits 6 writes its log and last iterate like any other run.
+A solve that exits 5 or 6 writes its log and last iterate like any other
+run.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .errors import (
     NotAdmissible,
     NotAttained,
     ParseError,
-    ValidationError,
 )
 from .hexagon import (
     CornerAlpha,
@@ -47,7 +47,7 @@ from .hexagon import (
     diagonal_identity_residuals,
     length_jacobian_fd,
 )
-from .jsonio import check_writable, dump, dumps, load, reprs, write
+from .jsonio import check_writable, dump, dumps, floats, load, reprs, write
 from .solve import (
     CONVERGED,
     JACOBIAN_NOT_PD,
@@ -102,13 +102,7 @@ def _load_target(path, n: int) -> np.ndarray:
     data = load(path, "target")
     if not isinstance(data, dict) or "K" not in data:
         raise ParseError(f"target file {path} must be an object with key 'K'")
-    # numpy would read a string or a boolean as a number
-    if isinstance(data["K"], list) and set(map(type, data["K"])) & {str, bool}:
-        raise ParseError(f"target file {path}: every entry of 'K' must be a number")
-    try:
-        K = np.asarray(data["K"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"target file {path}: {exc}") from exc
+    K = floats(data, "K", path, "target")
     if K.shape != (n,):
         got = f"{K.size} components" if K.ndim == 1 else f"shape {K.shape}"
         raise ParseError(f"target file {path} has {got}, surface has {n}")
@@ -171,7 +165,7 @@ def cmd_solve(args) -> int:
     stalled = None
     try:
         result, log = solve_prescribed(surface, factor, Kbar, cfg)
-    except NotAttained as exc:  # its log and last iterate explain the stall
+    except (JacobianNotPD, NotAttained) as exc:  # its log and last iterate explain the stop
         stalled, result, log = exc, exc.factor, exc.log
     _write_all((args.log, lambda path: write(path, log.to_csv(), "log")),
                (args.out, lambda path: save_factor(result, path)))
@@ -349,9 +343,6 @@ def main(argv=None) -> int:
             if path := getattr(args, dest):
                 check_writable(path, kind)
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NotAdmissible as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
         if exc.report is not None:

@@ -28,7 +28,7 @@ import scipy.sparse.linalg
 
 from .errors import DomainError, LengthMismatch, NotAdmissible, ParseError
 from .hexagon import CornerAlpha, FaceEta, central_difference, face_jacobian_chain
-from .jsonio import dump, load
+from .jsonio import dump, floats, load
 from .kernel import FaceValues, edge_margins, face_arcs, face_kernel
 from .quadrature import line_integral
 from .tolerances import ADMISSIBILITY_EPS, BATCH_FACE_EVALS, DENSE_EIG_MAX_N, SAMPLE_MAX_TRIES
@@ -74,21 +74,17 @@ class ConformalFactor:
 
 
 def load_factor(path, n: int | None = None) -> ConformalFactor:
-    """Read a factor file holding exactly one of the keys "alpha" or "u";
-    a string or a boolean in its list is not read as a number."""
+    """Read a factor file holding exactly one of the keys "alpha" or "u",
+    whose entries are numbers."""
     data = load(path, "factor")
     if not isinstance(data, dict) or len(keys := data.keys() & {"alpha", "u"}) != 1:
         raise ParseError(
             f"factor file {path} must hold exactly one of the keys 'alpha' or 'u'"
         )
     (key,) = keys
-    if isinstance(data[key], list) and set(map(type, data[key])) & {str, bool}:
-        raise ParseError(f"factor file {path}: every entry of {key!r} must be a number")
+    values = floats(data, key, path, "factor")
     try:
-        values = np.asarray(data[key], dtype=float)
         factor = ConformalFactor(values) if key == "alpha" else ConformalFactor.from_u(values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"factor file {path}: {exc}") from exc
     except DomainError as exc:
         raise DomainError(f"factor file {path}: {exc}") from exc
     if n is not None and len(factor) != n:
@@ -108,16 +104,20 @@ class AdmissibilityReport:
 
     admissible is True when every margin clears the kernel minimum
     ADMISSIBILITY_EPS, so it agrees exactly with what the geometric kernel
-    will accept.  distance_to_boundary is the Euclidean distance in the
-    angle box to the nearest face of the admissible polytope (box walls
-    included).
+    will accept; nearest_edge is the id of the edge with the smallest
+    margin, -1 on a surface without edges.
     """
 
-    admissible: bool
     edge_ids: tuple[int, ...]
     margins: np.ndarray
-    nearest_edge: int
-    distance_to_boundary: float
+
+    @property
+    def admissible(self) -> bool:
+        return bool(np.all(self.margins > ADMISSIBILITY_EPS))
+
+    @property
+    def nearest_edge(self) -> int:
+        return self.edge_ids[int(np.argmin(self.margins))] if self.margins.size else -1
 
     @property
     def min_margin(self) -> float:
@@ -153,26 +153,8 @@ def factor_margin(s: Surface, alpha: np.ndarray) -> float:
 
 def admissibility(s: Surface, a: ConformalFactor) -> AdmissibilityReport:
     """Evaluate every edge's admissibility margin for a factor."""
-    alpha = a.alpha
-    _check_length(s, alpha)
-    margins = edge_margins(s, alpha)
-    dist = float(np.min(np.minimum(alpha, _HALF_PI - alpha))) if alpha.size else math.inf
-    capped = s.edge_etas <= 1.0
-    if capped.any():
-        i, j = s.ends[capped].T
-        gap = np.arccos(-s.edge_etas[capped]) - (alpha[i] + alpha[j])
-        # distance to the hyperplane a_i + a_j = cap (2 a_i = cap for a
-        # self-edge)
-        dist = min(dist, float(np.min(gap / np.where(i == j, 2.0, math.sqrt(2.0)))))
-    admissible = bool(np.all(margins > ADMISSIBILITY_EPS)) if margins.size else True
-    nearest = s.edge_ids[int(np.argmin(margins))] if margins.size else -1
-    return AdmissibilityReport(
-        admissible=admissible,
-        edge_ids=s.edge_ids,
-        margins=margins,
-        nearest_edge=nearest,
-        distance_to_boundary=dist,
-    )
+    _check_length(s, a.alpha)
+    return AdmissibilityReport(s.edge_ids, edge_margins(s, a.alpha))
 
 
 def _check_factors(s: Surface, alpha: np.ndarray) -> None:

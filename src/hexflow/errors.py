@@ -42,11 +42,17 @@ class LengthMismatch(HexflowError):
 
 class JacobianNotPD(HexflowError):
     """The curvature Jacobian lost positive definiteness (possible only when
-    the structure condition fails); carries its minimum eigenvalue."""
+    the structure condition fails); carries its minimum eigenvalue.
 
-    def __init__(self, message, *, min_eigenvalue=None):
+    When it ends a Newton solve it also carries the solve's log and last
+    accepted iterate, as NotAttained does, and `hexflow solve` writes them
+    before it exits 5."""
+
+    def __init__(self, message, *, min_eigenvalue=None, log=None, factor=None):
         super().__init__(message)
         self.min_eigenvalue = min_eigenvalue
+        self.log = log
+        self.factor = factor
 
 
 class NotAttained(HexflowError):

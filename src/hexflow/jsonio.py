@@ -7,7 +7,8 @@ lists, none in a cycle, and the cyclic garbage collector would walk them
 again and again while they accumulate.  Once it resumes, its first pass
 walks every one of them still alive, so `load_surface` keeps it paused
 until the decoded records are gone; the caller's collector state is
-restored either way.
+restored either way.  `floats` is the one number check of the vectors the
+input files hold, a factor's and a target's.
 
 `write(path, text, kind)` is the one writer of every output file, JSON or
 CSV: it raises HexflowError naming the file when the file cannot be
@@ -36,8 +37,9 @@ values of a dict) that holds only floats or only ints, in a single join,
 which is all of a curvature dump but its keys.  An array of at least
 REPEAT_MIN numbers in which at least a quarter repeat goes through its
 distinct values, each formatted once, with the one sort that found the
-repeats: the symmetric Jacobian of a dump holds every off-diagonal value
-twice, and its index columns hold each row or column index several times.
+repeats (`distinct`, which also builds `Surface.jacobian_pattern`): the
+symmetric Jacobian of a dump holds every off-diagonal value twice, and
+its index columns hold each row or column index several times.
 A list is only joined: the long lists of the outputs, a dump's margins and
 a factor's components, repeat only at a uniform factor.  `reprs` does
 the same for an array of any shape and formats the cells of
@@ -85,6 +87,20 @@ def load(path, kind: str):
                 return json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
             raise ParseError(f"cannot read {kind} file {path}: {_reason(exc)}") from exc
+
+
+def floats(data: dict, key: str, path, kind: str) -> np.ndarray:
+    """data[key], from the `kind` file at path, as a float array.  numpy
+    would read a string or a boolean as a number and null as NaN, so a list
+    holding one raises ParseError, as does a value numpy cannot convert;
+    both messages name the file."""
+    value = data[key]
+    if isinstance(value, list) and set(map(type, value)) & {str, bool, type(None)}:
+        raise ParseError(f"{kind} file {path}: every entry of {key!r} must be a number")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{kind} file {path}: {exc}") from exc
 
 
 def dumps(obj) -> str:
@@ -177,28 +193,28 @@ def reprs(a: np.ndarray) -> list:
     """The repr of each entry of the float64 or int64 array a, in the nested
     lists of a.tolist(), each distinct value formatted once: floats are told
     apart by their bits, so -0.0 stays apart from 0.0."""
-    flat = a.ravel()
-    return _cells(flat, *_sorted_bits(flat)).reshape(a.shape).tolist()
+    return _cells(a.dtype, *distinct(a.ravel().view(np.int64))).reshape(a.shape).tolist()
 
 
-def _sorted_bits(flat: np.ndarray):
-    """The permutation that sorts the bits of the items of the 1-d float64
-    or int64 array flat, and those bits sorted."""
-    keys = flat.view(np.int64)
+def distinct(keys: np.ndarray):
+    """np.unique(keys, return_inverse=True) for the 1-d integer array keys:
+    its sorted distinct values and the index of each item among them, by
+    one argsort and a scatter."""
     order = np.argsort(keys)
-    return order, keys[order]
-
-
-def _cells(flat: np.ndarray, order: np.ndarray, ordered: np.ndarray) -> np.ndarray:
-    """The repr of each item of the 1-d float64 or int64 array flat, as an
-    object array, from _sorted_bits(flat): each distinct value is formatted
-    once."""
+    ordered = keys[order]
     first = np.empty(ordered.size, bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    cells = np.array(list(map(repr, ordered[first].view(flat.dtype).tolist())), dtype=object)
-    inverse = np.empty(flat.size, np.intp)
+    inverse = np.empty(keys.size, np.intp)
     inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _cells(dtype: np.dtype, bits: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """The repr of each item of a float64 or int64 array, as an object
+    array, from distinct() of its int64 bits: each distinct value is
+    formatted once."""
+    cells = np.array(list(map(repr, bits.view(dtype).tolist())), dtype=object)
     return cells[inverse]
 
 
@@ -209,9 +225,9 @@ def _numbers(a: np.ndarray):
     sort costs more than it saves), else in one map."""
     finite = a.dtype.kind == "i" or bool(np.isfinite(a).all())
     if finite and a.size >= REPEAT_MIN:
-        order, ordered = _sorted_bits(a)
-        if 4 * np.count_nonzero(ordered[1:] == ordered[:-1]) >= a.size:
-            return _cells(a, order, ordered).tolist()
+        bits, inverse = distinct(a.view(np.int64))
+        if 4 * (a.size - bits.size) >= a.size:
+            return _cells(a.dtype, bits, inverse).tolist()
     return map(repr if finite else _float, a.tolist())
 
 

@@ -281,7 +281,8 @@ def _descend(s: Surface, path: list[np.ndarray], Kbar: np.ndarray, log: RunLog, 
     point to path and its row to log, whose potential column is pending.
     Returns why the descent stopped: CONVERGED, MAX_STEPS (budget moves
     made) or STALLED_STEP (a move's step left [STEP_FLOOR, inf) before a
-    trial passed the guard).
+    trial passed the guard, or the kernel raised DomainError on a trial,
+    as when its arcs overflow).
 
     propose(c, step) gives the move (step -> displacement) from the point
     evaluated as c, and its first step; step is the one that reached the
@@ -309,7 +310,10 @@ def _descend(s: Surface, path: list[np.ndarray], Kbar: np.ndarray, log: RunLog, 
             trial = alpha + move(step)
             margin = factor_margin(s, trial)  # -inf outside the box
             if margin >= STEP_MARGIN:  # so curvature's own gate would pass
-                trial_c = _evaluate(s, trial, jacobian=True)
+                try:
+                    trial_c = _evaluate(s, trial, jacobian=True)
+                except DomainError:  # the kernel overflowed on the trial
+                    return STALLED_STEP
                 trial_cal = calabi_energy(trial_c.K, Kbar)
                 if trial_cal <= cal:  # the Calabi energy may not rise
                     break
@@ -331,10 +335,11 @@ def run_flow(
     linearly implicit Euler steps.
 
     Dynamics never raise: the trace records a terminal status of Converged,
-    MaxSteps, StalledStep (dt underflow, or a step that is not finite after
-    the first) or JacobianNotPD.  Malformed inputs (inadmissible a0, Kbar
-    not finite and positive, a fractional order s so large that
-    J^s (K - Kbar) is not finite at a0) do raise.
+    MaxSteps, StalledStep (dt underflow, a trial the kernel cannot evaluate,
+    or a step that is not finite after the first) or JacobianNotPD.
+    Malformed inputs (inadmissible a0, Kbar not finite and positive, a
+    fractional order s so large that J^s (K - Kbar) is not finite at a0) do
+    raise.
 
     Nothing in the dynamics reads the potential, so the trace's potential
     column is pending: the trace keeps the accepted path, 8n bytes per
@@ -421,9 +426,11 @@ def solve_prescribed(
     descends that energy only where J is positive definite (the paper
     proves it is on the admissible set), before a second consecutive
     failure raises JacobianNotPD.  Persistent line-search failure against
-    the admissible boundary raises NotAttained (no admissible factor
-    realizes this target).  Returns on Converged or MaxIters.  As in a
-    flow's trace, the log's potential column is pending.
+    the admissible boundary, or a trial the kernel cannot evaluate, raises
+    NotAttained (no admissible factor realizes this target).  Both errors
+    carry the log, whose status they set, and the last accepted iterate.
+    Returns on Converged or MaxIters.  As in a flow's trace, the log's
+    potential column is pending.
     """
     if cfg is None:
         cfg = NewtonConfig()
@@ -439,10 +446,11 @@ def solve_prescribed(
             fallback = False
         except JacobianNotPD as exc:
             if fallback:  # the previous iteration fell back too
+                log.status = JACOBIAN_NOT_PD
                 raise JacobianNotPD(
                     "curvature Jacobian not positive definite on consecutive "
                     f"iterations, min eigenvalue {exc.min_eigenvalue:.3e}",
-                    min_eigenvalue=exc.min_eigenvalue,
+                    min_eigenvalue=exc.min_eigenvalue, log=log, factor=ConformalFactor(path[-1]),
                 ) from None
             d, fallback = -r, True
         return (lambda lam: lam * d), 1.0

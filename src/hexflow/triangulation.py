@@ -35,7 +35,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import EtaOutOfRange, ParseError, ValidationError
-from .jsonio import dump, load, paused_collector
+from .jsonio import distinct, dump, load, paused_collector
 
 logger = logging.getLogger(__name__)
 
@@ -166,7 +166,7 @@ class Surface:
         n = self.n_boundary
         rows = np.repeat(self.corners, 3, axis=1).ravel()
         cols = np.tile(self.corners, 3).ravel()
-        keys, slot = np.unique(rows * n + cols, return_inverse=True)
+        keys, slot = distinct(rows * n + cols)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
         # int32, the index type scipy picks for these sizes, so building a

@@ -17,6 +17,7 @@ import pytest
 from hexflow import (
     ConformalFactor,
     HexflowError,
+    JacobianNotPD,
     NotAttained,
     curvature,
     default_base_point,
@@ -316,9 +317,11 @@ class TestSolve:
         tpath = target_file([1e6, 1.0, 1.0])
         assert main(["solve", pants_path, fpath, tpath, "--max-iters", "5"]) == 4
 
-    def test_jacobian_not_pd_exit_5_writes_nothing(self, pants_path, factor_file, target_file,
-                                                   tmp_path, monkeypatch, capsys):
-        # unlike an exit-6 solve, which writes its log and its last iterate
+    def test_jacobian_not_pd_exit_5_writes_log_and_last_iterate(
+        self, pants_path, factor_file, target_file, tmp_path, monkeypatch, capsys
+    ):
+        # as an exit-6 solve does: the log up to the second indefinite
+        # Jacobian, and the iterate reached by the one fallback step
         stub_jacobians(monkeypatch, itertools.repeat(np.diag([1.0, 1.0, -1.0])))
         log, out = tmp_path / "log.csv", tmp_path / "out.json"
         inputs = [pants_path, factor_file([0.5, 0.6, 0.7]), target_file([1.2, 1.3, 1.4])]
@@ -327,7 +330,14 @@ class TestSolve:
             "jacobian not positive definite: curvature Jacobian not positive definite "
             "on consecutive iterations"
         )
-        assert not log.exists() and not out.exists()
+        lines = log.read_text().splitlines()
+        assert lines[-1] == "# status=JacobianNotPD"
+        assert [line.split(",")[0] for line in lines[1:] if line[0] != "#"] == ["0", "1"]
+        with pytest.raises(JacobianNotPD) as err:
+            hexflow.solve_prescribed(load_surface(pants_path), ConformalFactor([0.5, 0.6, 0.7]),
+                                     [1.2, 1.3, 1.4])
+        assert err.value.log.status == "JacobianNotPD"
+        assert json.loads(out.read_text()) == err.value.factor.to_dict() != {"alpha": [0.5, 0.6, 0.7]}
 
     def test_not_attained_exit_6(self, pants_path, factor_file, target_file, monkeypatch):
         import hexflow.cli as climod
@@ -484,8 +494,13 @@ def test_file_errors_name_the_path_once(pants_path, factor_file, tmp_path, capsy
     ("factor", {"alpha": [False, 0.6, 0.7]}, "factor file {}: every entry of 'alpha' must be a number"),
     ("target", {"K": ["1.2", 1.3, 1.4]}, "target file {}: every entry of 'K' must be a number"),
     ("target", {"K": [True, 1.3, 1.4]}, "target file {}: every entry of 'K' must be a number"),
+    # and null as NaN
+    ("factor", {"alpha": [None, 0.6, 0.7]}, "factor file {}: every entry of 'alpha' must be a number"),
+    ("factor", {"u": [0.3, None, 0.1]}, "factor file {}: every entry of 'u' must be a number"),
+    ("target", {"K": [None, 1.3, 1.4]}, "target file {}: every entry of 'K' must be a number"),
 ], ids=["factor-shape", "factor-u-range", "target-length", "target-shape", "factor-string",
-        "factor-u-string", "factor-true", "factor-false", "target-string", "target-true"])
+        "factor-u-string", "factor-true", "factor-false", "target-string", "target-true",
+        "factor-null", "factor-u-null", "target-null"])
 def test_content_errors_name_the_file(pants_path, factor_file, target_file, tmp_path, capsys,
                                       kind, content, message):
     paths = {"factor": factor_file([math.pi / 6] * 3), "target": target_file([1.0] * 3)}
@@ -764,6 +779,24 @@ def test_encoder_rejects_other_arrays(a):
 def test_reprs_tells_floats_apart_by_their_bits():
     assert reprs(np.array([0.0, -0.0, 0.0, 1.5, -0.0])) == ["0.0", "-0.0", "0.0", "1.5", "-0.0"]
     assert reprs(np.array([3, -2**63, 3])) == ["3", "-9223372036854775808", "3"]
+
+
+_EDGE = [-2**63, 2**63 - 1]
+
+
+@pytest.mark.parametrize("keys", [
+    [], [7], [5] * 9, _EDGE, _EDGE[::-1] * 3 + [0, -1, 1],
+    *(np.random.default_rng(seed).integers(-50, 50, size) for seed, size in ((0, 40), (1, 2000))),
+    np.random.default_rng(2).integers(_EDGE[0], _EDGE[1], 500, endpoint=True),
+], ids=["empty", "one", "all-equal", "int64-ends", "int64-ends-repeated", "random-40",
+        "random-2000", "random-wide"])
+def test_distinct_is_unique_with_inverse(keys):
+    keys = np.asarray(keys, np.int64)
+    values, inverse = jsonio.distinct(keys)
+    expected_values, expected_inverse = np.unique(keys, return_inverse=True)
+    for got, expected in ((values, expected_values), (inverse, expected_inverse)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 def test_encoder_rejects_keys_that_are_not_strings():
@@ -1138,6 +1171,9 @@ TERMINAL_RUNS = {
     "flow_far_target": ("flow", [1e6, 1.0, 1.0], ()),
     "solve_far_target": ("solve", [1e6, 1.0, 1.0], ()),
     "solve_tiny_tol": ("solve", [1.2, 1.3, 1.4], ("--tol", "1e-300", "--max-iters", "20")),
+    # targets so small that a trial's arcs overflow the kernel
+    "solve_kernel_overflow": ("solve", [1e-250] * 3, ("--tol", "1e-300")),
+    "flow_kernel_overflow": ("flow", [1e-250] * 3, ("--method", "ricci", "--tol", "1e-300")),
 }
 
 # The exit code and the sha256 of stdout, stderr and the trace (or log) of
@@ -1150,6 +1186,12 @@ TERMINAL_SHA256 = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "eacdaf8dbbdc6cd7d4085690ddeefd53fdca331d7c4224043c1998075982ff82",
     ),
+    "flow_kernel_overflow": (
+        4,
+        "54ed1b35839469b7fc240238191f21e2149415a532e6d92537b2a8a780032756",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "61613b5de03b7fdd89b25a3c98a8800fc83466f9ddf9ab9fa8adc62574dd9b99",
+    ),
     "flow_max_steps_0": (
         4,
         "2564434465b8cfa99b737934ed29f393cd619620fd479ed0652b011ee90ea939",
@@ -1161,6 +1203,12 @@ TERMINAL_SHA256 = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "102f251ac8a25c94bbb51ad88131ffb04d62d3f2fd7908257ea41de6dd5fb4b1",
         "57327b753f8c3013b37af6b051b8db645430427d1ac0eb303e7b9ffdd7d81d34",
+    ),
+    "solve_kernel_overflow": (
+        6,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "170e7f5039eabb95d03b5994f1c5d68f4202557ab7dd322bdf6dcc7cf7f575bb",
+        "abe57e75f10d640e30a20b93b9a75fb13fc28d785c04e5a6e3c076328c14c9b5",
     ),
     "solve_max_iters_0": (
         4,

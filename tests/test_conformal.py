@@ -87,15 +87,6 @@ class TestAdmissibility:
             math.cos(math.pi / 4) - 0.5, abs=1e-15
         )
 
-    def test_distance_to_boundary(self, pants):
-        # at pi/8 the box wall a_i = 0 is nearest
-        rep = admissibility(pants, uniform_factor(3, math.pi / 8))
-        assert rep.distance_to_boundary == pytest.approx(math.pi / 8, rel=1e-12)
-        # at 0.7 the edge facet a_i + a_j = pi/2 is nearest
-        rep = admissibility(pants, uniform_factor(3, 0.7))
-        expected = (math.pi / 2 - 1.4) / math.sqrt(2.0)
-        assert rep.distance_to_boundary == pytest.approx(expected, rel=1e-12)
-
     def test_self_edge_margin(self):
         edges = (
             Edge(id=0, ends=(0, 0), eta=0.9),

@@ -402,6 +402,25 @@ class TestDescendGuard:
         assert moved[-1] >= STEP_FLOOR > moved[-1] * STEP_SHRINK
         assert len(evaluated) == 1 and len(path) == 1
 
+    def test_kernel_error_on_a_trial_stalls(self, pants, monkeypatch):
+        # a trial the kernel cannot evaluate (its arcs overflow) ends the
+        # descent at the first trial, which passes the guard
+        trials = []
+
+        def overflowing(s, alpha, jacobian=False):
+            trials.append(alpha)
+            raise DomainError("face 0: boundary arc not finite and positive")
+
+        monkeypatch.setattr(hexflow.solve, "_evaluate", overflowing)
+        Kbar = curvature(pants, ConformalFactor(self.A0)).K * 1.5
+        path = [self.A0]
+        move = lambda h: h * np.full(3, 0.01)
+        why = _descend(pants, path, Kbar, RunLog(()), 1e-10, 1, lambda c, _step: (move, 1.0),
+                       lambda *row: row)
+        assert why == STALLED_STEP
+        assert len(trials) == 1 and np.array_equal(trials[0], self.A0 + 0.01)
+        assert len(path) == 1
+
     @pytest.mark.parametrize("step", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_step_stalls(self, pants, monkeypatch, step):
         # inf * STEP_SHRINK stays inf: the loop must end, not spin
