@@ -3,11 +3,13 @@
 Exit codes: 0 success, 2 input problem (parse/validation) or an output
 file that cannot be written, 3 inadmissible factor, 4 non-convergence
 (step budget or stall), 5 Jacobian not positive definite, 6 target not
-attainable.  Identical inputs and seed produce byte-identical outputs:
-reductions are ordered and floats are written in shortest round-trip
-decimal.  Output paths are checked before any work, so an output that is
-a directory or lies in a missing directory exits 2 whatever the run would
-have ended with, and a command leaves all of its output files or none.
+attainable.  Identical inputs and seed produce byte-identical outputs at
+a fixed BLAS thread count: the package's own reductions are ordered and
+floats are written in shortest round-trip decimal, but a multithreaded
+BLAS may order its sums differently from run to run.  Output paths are
+checked before any work, so an output that is a directory or lies in a
+missing directory exits 2 whatever the run would have ended with, and a
+command leaves all of its output files or none.
 A solve that exits 5 or 6 writes its log and last iterate like any other
 run.
 """
@@ -242,7 +244,8 @@ def cmd_volume(args) -> int:
     # the base is row 0, which the chart admitted; the inadmissible points are skipped
     points, volumes, eigs = volume_grid(chart, np.vstack((base.as_tuple(), grid)))
     table = np.column_stack((points, volumes, eigs[:, 0], eigs[:, -1]))
-    rows = map(",".join, reprs(table))
+    cells = iter(reprs(table))
+    rows = map(",".join, zip(*[cells] * table.shape[1]))
     lines = ["alpha_i,alpha_j,alpha_k,volume,hess_eig_min,hess_eig_max", *rows]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -294,11 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("surface")
     p.add_argument("factors")
     p.add_argument("target", help="JSON file with key 'K'")
-    p.add_argument("--method", choices=("ricci", "calabi", "fractional"), default="ricci")
-    p.add_argument("--s", type=float, default=0.5, help="fractional order (fractional method only)")
-    p.add_argument("--dt0", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--method", choices=("ricci", "calabi", "fractional"), default=FlowConfig.method)
+    p.add_argument("--s", type=float, default=FlowConfig.s,
+                   help="fractional order (fractional method only)")
+    p.add_argument("--dt0", type=float, default=FlowConfig.dt0)
+    p.add_argument("--tol", type=float, default=FlowConfig.tol)
+    p.add_argument("--max-steps", type=int, default=FlowConfig.max_steps)
     p.add_argument("--trace", help="write the accepted-step trace CSV here")
     p.add_argument("--out", help="write the final factor JSON here")
     add_strict(p)
@@ -308,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("surface")
     p.add_argument("factors")
     p.add_argument("target", help="JSON file with key 'K'")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument("--tol", type=float, default=NewtonConfig.tol)
+    p.add_argument("--max-iters", type=int, default=NewtonConfig.max_iters)
     p.add_argument("--out", help="write the solution factor JSON here")
     p.add_argument("--log", help="write the iterate log CSV here")
     add_strict(p)

@@ -170,7 +170,6 @@ def _check_factors(s: Surface, alpha: np.ndarray) -> None:
             f"factor inadmissible: min margin {report.min_margin:.3e} "
             f"at edge {report.nearest_edge}",
             deficit=report.min_margin,
-            edge_id=report.nearest_edge,
             report=report,
         )
 

@@ -24,15 +24,14 @@ class DomainError(HexflowError):
 class NotAdmissible(HexflowError):
     """A conformal factor violates the edge admissibility inequality.
 
-    Carries the worst deficit ``cos(a_i + a_j) + eta`` for diagnostics, the
-    offending edge id when known, and the full per-edge report when the
-    failure was detected at surface level.
+    Carries the worst deficit ``cos(a_i + a_j) + eta`` for diagnostics and
+    the full per-edge report, whose ``nearest_edge`` is the offending edge,
+    when the failure was detected at surface level.
     """
 
-    def __init__(self, message, *, deficit=None, edge_id=None, report=None):
+    def __init__(self, message, *, deficit=None, report=None):
         super().__init__(message)
         self.deficit = deficit
-        self.edge_id = edge_id
         self.report = report
 
 

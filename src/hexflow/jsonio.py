@@ -34,20 +34,23 @@ TypeError.  `dump(obj, path, kind)` writes it with a final newline; dict
 keys must be strings.  The stdlib falls back to its pure-Python encoder
 whenever `indent` is set; this one writes an array, or a list (or the
 values of a dict) that holds only floats or only ints, in a single join,
-which is all of a curvature dump but its keys.  An array of at least
-REPEAT_MIN numbers in which at least a quarter repeat goes through its
-distinct values, each formatted once, with the one sort that found the
-repeats (`distinct`, which also builds `Surface.jacobian_pattern`): the
-symmetric Jacobian of a dump holds every off-diagonal value twice, and
-its index columns hold each row or column index several times.
-A list is only joined: the long lists of the outputs, a dump's margins and
-a factor's components, repeat only at a uniform factor.  `reprs` does
-the same for an array of any shape and formats the cells of
-`hexflow volume`'s CSV.  Non-finite floats are written as `NaN`,
-`Infinity` and `-Infinity`, as the stdlib does by default.  Each
-container's text is built in one piece by an f-string: a chain of `+`
-allocates and copies a fresh string per operator, about 2 ms for a 1.5 MB
-text on a 2-vCPU x86-64 VM against 0.1 ms for the f-string.
+which is all of a curvature dump but its keys.  One rule, `reprs`,
+formats every run of numbers: an array, a list of floats or the float
+values of a dict (as the array of them), and the cells of `hexflow
+volume`'s CSV.  At least REPEAT_MIN finite numbers of which at least a
+quarter repeat go through their distinct values, each formatted once,
+with the one sort that found the repeats (`distinct`, which also builds
+`Surface.jacobian_pattern`): the symmetric Jacobian of a dump holds every
+off-diagonal value twice, its index columns hold each row or column index
+several times, and at a uniform factor a dump's margins and K and a
+factor's components repeat one or two values.  A list of ints is joined
+in one map, as its ints may lie beyond int64.  Non-finite floats are
+written as `NaN`, `Infinity` and `-Infinity`, as the stdlib does by
+default; the CSV's cells are finite, as `volume_grid` skips the points
+the kernel cannot evaluate.  Each container's text is built in one piece
+by an f-string: a chain of `+` allocates and copies a fresh string per
+operator, about 2 ms for a 1.5 MB text on a 2-vCPU x86-64 VM against
+0.1 ms for the f-string.
 """
 
 from __future__ import annotations
@@ -190,10 +193,20 @@ REPEAT_MIN = 512
 
 
 def reprs(a: np.ndarray) -> list:
-    """The repr of each entry of the float64 or int64 array a, in the nested
-    lists of a.tolist(), each distinct value formatted once: floats are told
-    apart by their bits, so -0.0 stays apart from 0.0."""
-    return _cells(a.dtype, *distinct(a.ravel().view(np.int64))).reshape(a.shape).tolist()
+    """The encoded entries of the float64 or int64 array a, in a.ravel()
+    order: through their distinct values, each formatted once, when there
+    are at least REPEAT_MIN, all finite, and at least a quarter of them
+    repeat an earlier one (with fewer repeats the sort costs more than it
+    saves), else in one map.  Floats are told apart by their bits, so -0.0
+    stays apart from 0.0."""
+    a = a.ravel()
+    finite = a.dtype.kind == "i" or bool(np.isfinite(a).all())
+    if finite and a.size >= REPEAT_MIN:
+        bits, inverse = distinct(a.view(np.int64))
+        if 4 * (a.size - bits.size) >= a.size:
+            cells = np.array(list(map(repr, bits.view(a.dtype).tolist())), object)
+            return cells[inverse].tolist()
+    return list(map(repr if finite else _float, a.tolist()))
 
 
 def distinct(keys: np.ndarray):
@@ -210,34 +223,14 @@ def distinct(keys: np.ndarray):
     return ordered[first], inverse
 
 
-def _cells(dtype: np.dtype, bits: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """The repr of each item of a float64 or int64 array, as an object
-    array, from distinct() of its int64 bits: each distinct value is
-    formatted once."""
-    cells = np.array(list(map(repr, bits.view(dtype).tolist())), dtype=object)
-    return cells[inverse]
-
-
-def _numbers(a: np.ndarray):
-    """The encoded items of the 1-d int64 or float64 array a: through their
-    distinct values when there are at least REPEAT_MIN, all finite, and at
-    least a quarter of them repeat an earlier one (with fewer repeats the
-    sort costs more than it saves), else in one map."""
-    finite = a.dtype.kind == "i" or bool(np.isfinite(a).all())
-    if finite and a.size >= REPEAT_MIN:
-        bits, inverse = distinct(a.view(np.int64))
-        if 4 * (a.size - bits.size) >= a.size:
-            return _cells(a.dtype, bits, inverse).tolist()
-    return map(repr if finite else _float, a.tolist())
-
-
 def _values(seq: list, newline: str):
-    """The encoded items of seq: in one map when they are all ints or all
-    finite floats (a sum that is not finite sends floats the long way),
-    else item by item."""
+    """The encoded items of seq: ints in one map (they may lie beyond
+    int64), floats as the array of them, anything else item by item."""
     kinds = set(map(type, seq))
-    if kinds == {int} or (kinds == {float} and math.isfinite(sum(seq))):
+    if kinds == {int}:
         return map(repr, seq)
+    if kinds == {float}:
+        return reprs(np.array(seq))
     return [_encode(v, newline) for v in seq]
 
 
@@ -272,5 +265,5 @@ def _encode(o, newline: str) -> str:
             raise TypeError(f"an array of shape {o.shape} and dtype {o.dtype} is not JSON serializable")
         if not o.size:
             return "[]"
-        return f"[{inner}{sep.join(_numbers(o))}{newline}]"
+        return f"[{inner}{sep.join(reprs(o))}{newline}]"
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")

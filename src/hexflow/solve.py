@@ -115,8 +115,8 @@ class RunLog:
     structure condition held.
 
     A column may be pending: its rows hold None until the first read of
-    rows (column, to_csv) fills them from pending(), which returns the
-    whole column."""
+    every row (rows, to_csv) or of that column (column, last) fills them
+    from pending(), which returns the whole column."""
 
     columns: tuple[str, ...]
     status: str = ""
@@ -135,14 +135,14 @@ class RunLog:
         return self._rows
 
     def last(self, name: str):
-        """Column name of the last row, filling no pending column but name."""
-        idx = self.columns.index(name)
-        rows = self.rows if self.pending and self.pending[0] == name else self._rows
-        return rows[-1][idx]
+        """Column name of the last row, as a Python scalar."""
+        return self.column(name)[-1].item()
 
     def column(self, name: str) -> np.ndarray:
+        """Column name of every row, filling no pending column but name."""
         idx = self.columns.index(name)
-        return np.array([row[idx] for row in self.rows])
+        rows = self.rows if self.pending and self.pending[0] == name else self._rows
+        return np.array([row[idx] for row in rows])
 
     def to_csv(self) -> str:
         """Floats in shortest round-trip decimal; counters and flags as

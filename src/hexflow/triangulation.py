@@ -199,7 +199,7 @@ class Surface:
     def face_etas(self, face: Face) -> tuple[float, float, float]:
         """Weights of a face's edges as (e_ij, e_ik, e_jk) for corner slots
         (i, j, k) = (0, 1, 2); slot t stores the edge opposite corner t."""
-        return tuple(self._edge_by_id[eid].eta for eid in reversed(face.edges))
+        return tuple(self._edge_by_id[face.edges[t]].eta for t in _R)
 
     def to_dict(self) -> dict:
         return {

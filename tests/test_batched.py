@@ -31,7 +31,7 @@ from hexflow import (
 )
 from hexflow.cli import main
 from hexflow.conformal import _check_factors, _faces, _segment_curvature_integral, curvature_dump
-from hexflow.solve import FlowConfig, run_flow
+from hexflow.solve import FlowConfig, measured_decay_rate, run_flow
 from hexflow.tolerances import QUAD_INIT_NODES, QUAD_MAX_NODES, QUAD_REL_TOL
 from conftest import PROFILES, fixture_path, load, reference_factor, torus
 
@@ -301,6 +301,7 @@ def test_unread_flow_makes_no_quadrature_call(monkeypatch, tmp_path, capsys):
     s, a0, Kbar = flow_problem()
     _, trace = run_flow(s, a0, Kbar, FlowConfig(method="calabi"))
     assert trace.last("step") > 0 and trace.last("resid_inf") <= 1e-10
+    assert measured_decay_rate(trace) > 0.0
     assert trace.pending is not None
     factor, target = tmp_path / "a0.json", tmp_path / "target.json"
     factor.write_text(json.dumps({"alpha": a0.alpha.tolist()}))

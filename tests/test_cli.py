@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import gc
 import hashlib
@@ -31,6 +32,7 @@ from hexflow import ParseError, cli, jsonio
 from hexflow.cli import main
 from hexflow.conformal import curvature_dump
 from hexflow.jsonio import REPEAT_MIN, dumps, load, reprs, write
+from hexflow.solve import FlowConfig, NewtonConfig
 from conftest import FIXTURES, fixture_path, reference_factor, stub_jacobians, torus
 
 ARCCOSH15 = math.acosh(1.5)
@@ -701,6 +703,13 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("command, config", [("flow", FlowConfig), ("solve", NewtonConfig)])
+def test_parsed_defaults_are_the_configs(command, config):
+    args = cli.build_parser().parse_args([command, "surface.json", "factor.json", "target.json"])
+    for f in dataclasses.fields(config):
+        assert getattr(args, f.name) == getattr(config(), f.name)
+
+
 ENCODER_EDGE_CASES = [
     -0.0, 1e-320, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
     [], {}, [[]], [{}], {"a": [], "b": {}}, (1, 2.5),
@@ -779,6 +788,23 @@ def test_encoder_rejects_other_arrays(a):
 def test_reprs_tells_floats_apart_by_their_bits():
     assert reprs(np.array([0.0, -0.0, 0.0, 1.5, -0.0])) == ["0.0", "-0.0", "0.0", "1.5", "-0.0"]
     assert reprs(np.array([3, -2**63, 3])) == ["3", "-9223372036854775808", "3"]
+
+
+def test_repeated_floats_of_a_list_or_dict_are_formatted_once(monkeypatch):
+    # a list of floats, or the float values of a dict, takes the array rule
+    sizes = []
+    sort = jsonio.distinct
+
+    def spy(keys):
+        sizes.append(keys.size)
+        return sort(keys)
+
+    monkeypatch.setattr(jsonio, "distinct", spy)
+    values = [0.25] * REPEAT_MIN
+    for obj in (values, dict(zip(map(str, range(REPEAT_MIN)), values))):
+        sizes.clear()
+        assert dumps(obj) == json.dumps(obj, indent=1)
+        assert sizes == [REPEAT_MIN]
 
 
 _EDGE = [-2**63, 2**63 - 1]
@@ -909,9 +935,11 @@ def test_encoder_matches_stdlib_on_a_large_surface():
     # numbers
     s = torus(24)
     assert len(s.face_ids) == 1152
-    data = curvature_dump(s, reference_factor(s))
-    assert min(len(data["K"]), len(data["jacobian"]["vals"]), len(data["margins"])) >= REPEAT_MIN
-    assert dumps(data) == json.dumps(data, indent=1, default=np.ndarray.tolist)
+    # at the default base point the margins and K repeat
+    for factor in (reference_factor(s), default_base_point(s)):
+        data = curvature_dump(s, factor)
+        assert min(len(data["K"]), len(data["jacobian"]["vals"]), len(data["margins"])) >= REPEAT_MIN
+        assert dumps(data) == json.dumps(data, indent=1, default=np.ndarray.tolist)
     assert dumps(s.to_dict()) == json.dumps(s.to_dict(), indent=1)
 
 
