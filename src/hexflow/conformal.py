@@ -14,6 +14,10 @@ once: curvature is a scatter of its arcs over the corner indices, the
 Jacobian a scatter of its blocks into a CSR pattern built once per surface,
 and the line integrals of many segments evaluate each quadrature level of
 all of them in a few kernel calls.
+
+scipy is imported inside the function that calls it: the CSR matrix of a
+Jacobian and the sparse eigenvalue estimate import `scipy.sparse`, and
+nothing else here does, so a curvature evaluation loads no scipy module.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .errors import DomainError, LengthMismatch, NotAdmissible, ParseError
 from .hexagon import CornerAlpha, FaceEta, central_difference, face_jacobian_chain
@@ -250,7 +252,9 @@ class GlobalJacobian:
         return self.pattern.n
 
     @cached_property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> "scipy.sparse.csr_matrix":
+        import scipy.sparse as sp
+
         p = self.pattern
         return sp.csr_matrix((self.data, p.indices, p.indptr), shape=(p.n, p.n))
 
@@ -270,15 +274,22 @@ class GlobalJacobian:
 
 def min_eigenvalue(A) -> float:
     """The smallest eigenvalue of the symmetric A: exact (eigvalsh) for an
-    array, an iterative extremal estimate (eigsh) for a sparse matrix."""
-    if sp.issparse(A):
-        # ARPACK starts in the range of its operator, so it never sees an
-        # exact null vector of A; c, twice the largest absolute row sum,
-        # makes A + c I positive definite, with A's eigenvalues shifted by c
-        c = 2.0 * float(abs(A).sum(axis=1).max()) or 1.0
-        B = A + c * sp.identity(A.shape[0], format="csr")
-        w = scipy.sparse.linalg.eigsh(B, k=1, which="SA", return_eigenvectors=False)
-        return float(w[0]) - c
+    array, an iterative extremal estimate (eigsh) for a sparse matrix.  An
+    np.ndarray (np.matrix too) is never sparse, so it imports no scipy."""
+    if not isinstance(A, np.ndarray):
+        import scipy.sparse as sp
+
+        if sp.issparse(A):
+            from scipy.sparse.linalg import eigsh
+
+            # ARPACK starts in the range of its operator, so it never sees
+            # an exact null vector of A; c, twice the largest absolute row
+            # sum, makes A + c I positive definite, with A's eigenvalues
+            # shifted by c
+            c = 2.0 * float(abs(A).sum(axis=1).max()) or 1.0
+            B = A + c * sp.identity(A.shape[0], format="csr")
+            w = eigsh(B, k=1, which="SA", return_eigenvectors=False)
+            return float(w[0]) - c
     return float(np.linalg.eigvalsh(A)[0])
 
 

@@ -40,6 +40,12 @@ builds no ConformalFactor for it.  The step-control constants live in
 The loop records one `RunLog` row per accepted step.  Nothing in it reads
 the potential, so a log keeps the accepted path and computes the potential
 column, in one batched line integral, when it is first read.
+
+scipy is imported inside the function that calls it: the Cholesky solver
+imports `scipy.linalg` (LAPACK potrf/potrs), and only the sparse arms above
+DENSE_EIG_MAX_N import `scipy.sparse`, so a fractional flow loads no scipy
+module and a ricci or calabi flow or a Newton solve at n <= DENSE_EIG_MAX_N
+loads no `scipy.sparse`.
 """
 
 from __future__ import annotations
@@ -50,9 +56,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.sparse.linalg import splu
 
 from .conformal import (
     ConformalFactor,
@@ -200,6 +203,8 @@ def _spd_apply(J, r: np.ndarray, p: float, h: float = 0.0) -> np.ndarray:
     n = r.shape[0]
     if p in (0, 1, -1):
         if n > DENSE_EIG_MAX_N and isinstance(J, GlobalJacobian):
+            import scipy.sparse as sp
+
             A, eye, factor = J.matrix, sp.identity(n, format="csr"), _ldl_solver
         else:
             A, eye, factor = _dense(J), np.eye(n), _cholesky_solver
@@ -246,16 +251,21 @@ def _cholesky_solver(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None
     """x -> A^-1 x by a Cholesky factorisation of the dense symmetric A, or
     None unless A is positive definite: LAPACK potrf/potrs, the routines
     behind scipy's cho_factor/cho_solve, without their wrappers' overhead."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     factor, info = dpotrf(A, lower=0, clean=0)
     if info:
         return None
     return lambda x: dpotrs(factor, x, lower=0)[0]
 
 
-def _ldl_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray] | None:
+def _ldl_solver(A: "scipy.sparse.spmatrix") -> Callable[[np.ndarray], np.ndarray] | None:
     """x -> A^-1 x by a sparse LDL^T factorisation of the symmetric A (SuperLU,
     diagonal pivots in a symmetric minimum-degree order), or None unless A is
     positive definite: exactly when every pivot is positive (Sylvester)."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     try:
         lu = splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})

@@ -919,6 +919,93 @@ def test_failed_write_leaves_no_old_bytes(tmp_path):
     assert path.read_bytes() == b""
 
 
+# runs main on argv[1:] with its stdout captured, then prints the exit code
+# and the scipy package and subpackages the run imported
+SCIPY_LOADED = """
+import contextlib, io, json, sys
+from hexflow.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(sys.argv[1:])
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                             and m.count(".") <= 1 and "._" not in m)]))
+"""
+
+
+def run_python(code, *args):
+    """The stdout of `python -c code *args` in a fresh interpreter that
+    imports this hexflow, after checking that it exited 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hexflow.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def scipy_loaded(*args):
+    rc, modules = json.loads(run_python(SCIPY_LOADED, *args))
+    assert rc == 0
+    return set(modules)
+
+
+@pytest.fixture()
+def cold_start_args(pants_path, factor_file, target_file):
+    factor, target = factor_file([0.5, 0.6, 0.7]), target_file([1.2, 1.3, 1.4])
+    return {
+        "validate": ["validate", pants_path],
+        "curvature": ["curvature", pants_path, factor],
+        "volume": ["volume", "--eta", "1.5", "1.5", "1.5", "--base", "0.3", "0.3", "0.3",
+                   "--grid-step", "0.3"],
+        "fractional": ["flow", pants_path, factor, target, "--method", "fractional",
+                       "--s", "0.5"],
+        "ricci": ["flow", pants_path, factor, target, "--method", "ricci"],
+        "solve": ["solve", pants_path, factor, target],
+        "jacobian-check": ["jacobian-check", pants_path, "--samples", "1"],
+    }
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, hexflow.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert run_python(code) == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "curvature", "volume", "fractional"])
+def test_command_without_a_factorisation_loads_no_scipy(cold_start_args, command):
+    assert scipy_loaded(*cold_start_args[command]) == set()
+
+
+@pytest.mark.parametrize("command", ["ricci", "solve"])
+def test_dense_cholesky_loads_scipy_linalg_only(cold_start_args, command):
+    modules = scipy_loaded(*cold_start_args[command])
+    assert "scipy.linalg" in modules
+    assert "scipy.sparse" not in modules
+
+
+def test_jacobian_check_loads_scipy_sparse(cold_start_args):
+    # the symmetry residual of the chain-rule Jacobian reads its CSR matrix
+    assert "scipy.sparse" in scipy_loaded(*cold_start_args["jacobian-check"])
+
+
+# an array, np.matrix included, takes eigvalsh without importing scipy; a
+# list still takes eigvalsh and a CSR matrix eigsh, after asking issparse
+MIN_EIGENVALUE_ARMS = """
+import json, sys
+import numpy as np
+from hexflow.conformal import min_eigenvalue
+A = np.array([[2.0, 1.0], [1.0, 2.0]])
+values = [min_eigenvalue(A), min_eigenvalue(np.asmatrix(A))]
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+import scipy.sparse as sp
+values += [min_eigenvalue(A.tolist()), min_eigenvalue(sp.csr_matrix(A))]
+print(json.dumps(values))
+"""
+
+
+def test_min_eigenvalue_of_an_array_imports_no_scipy():
+    *dense, sparse = json.loads(run_python(MIN_EIGENVALUE_ARMS))
+    assert dense == [np.linalg.eigvalsh([[2.0, 1.0], [1.0, 2.0]])[0]] * 3
+    assert sparse == pytest.approx(1.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("fixture", ["f1", "f2"])
 @pytest.mark.parametrize("profile", ["eta0", "eta15", "mixed"])
 def test_encoder_matches_stdlib_on_dumps(fixture, profile):
