@@ -43,9 +43,11 @@ column, in one batched line integral, when it is first read.
 
 scipy is imported inside the function that calls it: the Cholesky solver
 imports `scipy.linalg` (LAPACK potrf/potrs), and only the sparse arms above
-DENSE_EIG_MAX_N import `scipy.sparse`, so a fractional flow loads no scipy
-module and a ricci or calabi flow or a Newton solve at n <= DENSE_EIG_MAX_N
-loads no `scipy.sparse`.
+DENSE_EIG_MAX_N import `scipy.sparse` themselves, so a fractional flow loads
+no scipy module and a ricci or calabi flow or a Newton solve at
+n <= DENSE_EIG_MAX_N loads what `scipy.linalg` loads: no `scipy.sparse` with
+scipy 1.17, the `scipy.sparse` that older releases (1.10 among them) import
+with `scipy.linalg`.
 """
 
 from __future__ import annotations
