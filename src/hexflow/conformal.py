@@ -17,7 +17,9 @@ all of them in a few kernel calls.
 
 scipy is imported inside the function that calls it: the CSR matrix of a
 Jacobian and the sparse eigenvalue estimate import `scipy.sparse`, and
-nothing else here does, so a curvature evaluation loads no scipy module.
+nothing else here does.  `GlobalJacobian.operand` alone chooses dense or
+sparse linear algebra; it is dense up to DENSE_EIG_MAX_N, where a
+Jacobian's eigenvalue and symmetry residual load no scipy module.
 """
 
 from __future__ import annotations
@@ -263,13 +265,22 @@ class GlobalJacobian:
         out[self.pattern.flat] = self.data
         return out.reshape(self.n, self.n)
 
+    @cached_property
+    def operand(self):
+        """J in the form its linear algebra takes: the read-only dense()
+        array up to DENSE_EIG_MAX_N, the CSR matrix above it."""
+        if self.n > DENSE_EIG_MAX_N:
+            return self.matrix
+        A = self.dense()
+        A.flags.writeable = False
+        return A
+
     def min_eigenvalue(self) -> float:
-        return min_eigenvalue(self.dense() if self.n <= DENSE_EIG_MAX_N else self.matrix)
+        return min_eigenvalue(self.operand)
 
     def symmetry_residual(self) -> float:
-        d = self.matrix - self.matrix.T
-        scale = max(1.0, abs(self.matrix).max() if self.matrix.nnz else 0.0)
-        return float(abs(d).max() / scale) if d.nnz else 0.0
+        A = self.operand
+        return float(abs(A - A.T).max() / max(1.0, abs(A).max()))
 
 
 def min_eigenvalue(A) -> float:
@@ -288,7 +299,10 @@ def min_eigenvalue(A) -> float:
             # shifted by c
             c = 2.0 * float(abs(A).sum(axis=1).max()) or 1.0
             B = A + c * sp.identity(A.shape[0], format="csr")
-            w = eigsh(B, k=1, which="SA", return_eigenvectors=False)
+            # a start vector of a fixed seed, where ARPACK would draw a
+            # random one, so the same A gives the same bits on every call
+            v0 = np.random.default_rng(0).standard_normal(A.shape[0])
+            w = eigsh(B, k=1, which="SA", v0=v0, return_eigenvectors=False)
             return float(w[0]) - c
     return float(np.linalg.eigvalsh(A)[0])
 

@@ -14,7 +14,8 @@ class ValidationError(HexflowError):
 
 
 class EtaOutOfRange(ValidationError):
-    """An edge weight lies at or below the lower bound -1."""
+    """An edge weight lies at or below the lower bound -1, is NaN or is
+    +inf, at which every evaluation of the surface would fail."""
 
 
 class DomainError(HexflowError):

@@ -39,7 +39,7 @@ formats every run of numbers: an array, a list of floats or the float
 values of a dict (as the array of them), and the cells of `hexflow
 volume`'s CSV.  At least REPEAT_MIN finite numbers of which at least a
 quarter repeat go through their distinct values, each formatted once,
-with the one sort that found the repeats (`distinct`, which also builds
+with the one sort that found the repeats (`np.unique`, which also builds
 `Surface.jacobian_pattern`): the symmetric Jacobian of a dump holds every
 off-diagonal value twice, its index columns hold each row or column index
 several times, and at a uniform factor a dump's margins and K and a
@@ -202,25 +202,11 @@ def reprs(a: np.ndarray) -> list:
     a = a.ravel()
     finite = a.dtype.kind == "i" or bool(np.isfinite(a).all())
     if finite and a.size >= REPEAT_MIN:
-        bits, inverse = distinct(a.view(np.int64))
+        bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
         if 4 * (a.size - bits.size) >= a.size:
             cells = np.array(list(map(repr, bits.view(a.dtype).tolist())), object)
             return cells[inverse].tolist()
     return list(map(repr if finite else _float, a.tolist()))
-
-
-def distinct(keys: np.ndarray):
-    """np.unique(keys, return_inverse=True) for the 1-d integer array keys:
-    its sorted distinct values and the index of each item among them, by
-    one argsort and a scatter."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    first = np.empty(ordered.size, bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty(keys.size, np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
 
 
 def _values(seq: list, newline: str):

@@ -10,11 +10,11 @@ positive target Kbar:
 With r = K - Kbar, a flow's velocity is -J^p r with p = 0 (ricci), 1
 (calabi) or s (fractional), and Newton's direction is -J^-1 r.  One routine,
 `_spd_apply`, computes (I + h J^(p+1))^-1 J^p r and owns the positive
-definiteness test: a factorisation of J for p in {0, 1, -1} (Cholesky, or
-above DENSE_EIG_MAX_N a sparse LDL^T), the symmetric eigendecomposition for
-any other p.  At h = 0 it is J^p r: the flows' right-hand side and Newton's
-direction.  s = 0 and s = 1 reach the ricci and calabi arms, so those
-traces agree bit for bit.
+definiteness test: a factorisation of J for p in {0, 1, -1} (Cholesky of
+a dense J, a sparse LDL^T of a sparse one, as `GlobalJacobian.operand`
+chooses), the symmetric eigendecomposition for any other p.  At h = 0 it
+is J^p r: the flows' right-hand side and Newton's direction.  s = 0 and
+s = 1 reach the ricci and calabi arms, so those traces agree bit for bit.
 
 Flows and Newton are one descent loop, `_descend`, with two moves.  The
 loop evaluates the current point once, by one `curvature` call that also
@@ -42,12 +42,11 @@ the potential, so a log keeps the accepted path and computes the potential
 column, in one batched line integral, when it is first read.
 
 scipy is imported inside the function that calls it: the Cholesky solver
-imports `scipy.linalg` (LAPACK potrf/potrs), and only the sparse arms above
-DENSE_EIG_MAX_N import `scipy.sparse` themselves, so a fractional flow loads
-no scipy module and a ricci or calabi flow or a Newton solve at
-n <= DENSE_EIG_MAX_N loads what `scipy.linalg` loads: no `scipy.sparse` with
-scipy 1.17, the `scipy.sparse` that older releases (1.10 among them) import
-with `scipy.linalg`.
+imports `scipy.linalg` (LAPACK potrf/potrs), and only the sparse arms import
+`scipy.sparse` themselves, so a fractional flow loads no scipy module and a
+ricci or calabi flow or a Newton solve whose J is dense (n <= 512) loads
+what `scipy.linalg` loads: no `scipy.sparse` with scipy 1.17, the
+`scipy.sparse` that older releases (1.10 among them) import with it.
 """
 
 from __future__ import annotations
@@ -71,13 +70,7 @@ from .conformal import (
     _segment_curvature_integral,
 )
 from .errors import DomainError, JacobianNotPD, NotAttained
-from .tolerances import (
-    DENSE_EIG_MAX_N,
-    MULTISTART_TOL,
-    STEP_FLOOR,
-    STEP_MARGIN,
-    STEP_SHRINK,
-)
+from .tolerances import MULTISTART_TOL, STEP_FLOOR, STEP_MARGIN, STEP_SHRINK
 from .triangulation import Surface, structure_condition_holds
 
 # Terminal statuses shared by flows and the Newton solver.
@@ -190,8 +183,8 @@ def _spd_apply(J, r: np.ndarray, p: float, h: float = 0.0) -> np.ndarray:
     unless p == 0 and h == 0.  At h == 0 this is J^p r.
 
     p == 0 with h == 0 returns r and reads no J.  p in {0, 1, -1} factors J,
-    which tests its definiteness, and the shifted matrix: by Cholesky, or
-    above DENSE_EIG_MAX_N for a GlobalJacobian by a sparse LDL^T.  Any other
+    which tests its definiteness, and the shifted matrix: by Cholesky, or a
+    sparse LDL^T where a GlobalJacobian's operand is sparse.  Any other
     p uses the eigendecomposition, V (w^p / (1 + h w^(p+1))) V^T r, and
     raises DomainError when that is not finite (p too large for the
     eigenvalues of J).  Every arm raises JacobianNotPD for an indefinite J,
@@ -204,12 +197,13 @@ def _spd_apply(J, r: np.ndarray, p: float, h: float = 0.0) -> np.ndarray:
         raise DomainError(f"J^p r with p = {p!r} needs the curvature Jacobian")
     n = r.shape[0]
     if p in (0, 1, -1):
-        if n > DENSE_EIG_MAX_N and isinstance(J, GlobalJacobian):
+        A = J.operand if isinstance(J, GlobalJacobian) else _dense(J)
+        if isinstance(A, np.ndarray):
+            eye, factor = np.eye(n), _cholesky_solver
+        else:
             import scipy.sparse as sp
 
-            A, eye, factor = J.matrix, sp.identity(n, format="csr"), _ldl_solver
-        else:
-            A, eye, factor = _dense(J), np.eye(n), _cholesky_solver
+            eye, factor = sp.identity(n, format="csr"), _ldl_solver
         solve = factor(A)  # the definiteness test
         if solve is None:
             raise _not_pd(A)

@@ -35,7 +35,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import EtaOutOfRange, ParseError, ValidationError
-from .jsonio import distinct, dump, load, paused_collector
+from .jsonio import dump, load, paused_collector
 
 logger = logging.getLogger(__name__)
 
@@ -166,7 +166,7 @@ class Surface:
         n = self.n_boundary
         rows = np.repeat(self.corners, 3, axis=1).ravel()
         cols = np.tile(self.corners, 3).ravel()
-        keys, slot = distinct(rows * n + cols)
+        keys, slot = np.unique(rows * n + cols, return_inverse=True)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
         # int32, the index type scipy picks for these sizes, so building a
@@ -263,7 +263,8 @@ def _compile(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> 
     if ends is None or corners is None or face_edges is None:
         return None
     if (
-        ((ends < 0) | (ends >= n)).any() or not (etas > ETA_LOWER_BOUND).all()  # NaN included
+        ((ends < 0) | (ends >= n)).any()
+        or not ((etas > ETA_LOWER_BOUND) & (etas < np.inf)).all()  # NaN included
         or ((corners < 0) | (corners >= n)).any() or _repeated_in_row(face_edges).any()
         or (strict and _repeated_in_row(corners).any())
         or n > corners.size  # some component is a corner of no face
@@ -334,9 +335,9 @@ def _check_id(kind: str, rid, seen) -> None:
 
 def _validate(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) -> None:
     """The record walk over columns that _compile rejects: raises
-    ValidationError (EtaOutOfRange for a weight at or below -1) for n, else
-    for the first faulty edge, else for the first faulty face, else for the
-    smallest component that is a corner of no face."""
+    ValidationError (EtaOutOfRange for a weight at or below -1, NaN or +inf)
+    for n, else for the first faulty edge, else for the first faulty face,
+    else for the smallest component that is a corner of no face."""
     if not isinstance(n, int) or n <= 0:
         raise ValidationError(f"n_boundary must be a positive integer, got {n!r}")
     ends_by_id = {}
@@ -351,6 +352,8 @@ def _validate(n, strict, edge_ids, ends, etas, face_ids, corners, face_edges) ->
             raise ValidationError(f"edge {eid}: eta {eta!r} does not convert to a float") from None
         if not eta > ETA_LOWER_BOUND:
             raise EtaOutOfRange(f"edge {eid}: eta = {eta!r} is not > {ETA_LOWER_BOUND}")
+        if eta == np.inf:
+            raise EtaOutOfRange(f"edge {eid}: eta = inf is not finite")
         ends_by_id[eid] = sorted(map(int, pair))
 
     seen = set()
@@ -482,9 +485,9 @@ def load_surface(path, strict: bool = True) -> Surface:
     straight into the surface arrays.
 
     Raises ParseError for malformed files, ValidationError for violated
-    combinatorial invariants (EtaOutOfRange for weights at or below -1),
-    each for the first faulty record in file order (edges before faces)
-    and with a message that names the file.
+    combinatorial invariants (EtaOutOfRange for weights at or below -1,
+    NaN or +inf), each for the first faulty record in file order (edges
+    before faces) and with a message that names the file.
     """
     # the collector resumes only after the decoded records are gone
     with paused_collector():

@@ -28,11 +28,12 @@ from hexflow import (
     save_surface,
 )
 import hexflow
-from hexflow import ParseError, cli, jsonio
+from hexflow import ParseError, cli
 from hexflow.cli import main
-from hexflow.conformal import curvature_dump
+from hexflow.conformal import curvature_dump, global_jacobian
 from hexflow.jsonio import REPEAT_MIN, dumps, load, reprs, write
 from hexflow.solve import FlowConfig, NewtonConfig
+from hexflow.tolerances import DENSE_EIG_MAX_N
 from conftest import FIXTURES, fixture_path, reference_factor, stub_jacobians, torus
 
 ARCCOSH15 = math.acosh(1.5)
@@ -793,36 +794,18 @@ def test_reprs_tells_floats_apart_by_their_bits():
 def test_repeated_floats_of_a_list_or_dict_are_formatted_once(monkeypatch):
     # a list of floats, or the float values of a dict, takes the array rule
     sizes = []
-    sort = jsonio.distinct
+    unique = np.unique
 
-    def spy(keys):
+    def spy(keys, **kwargs):
         sizes.append(keys.size)
-        return sort(keys)
+        return unique(keys, **kwargs)
 
-    monkeypatch.setattr(jsonio, "distinct", spy)
+    monkeypatch.setattr(np, "unique", spy)
     values = [0.25] * REPEAT_MIN
     for obj in (values, dict(zip(map(str, range(REPEAT_MIN)), values))):
         sizes.clear()
         assert dumps(obj) == json.dumps(obj, indent=1)
         assert sizes == [REPEAT_MIN]
-
-
-_EDGE = [-2**63, 2**63 - 1]
-
-
-@pytest.mark.parametrize("keys", [
-    [], [7], [5] * 9, _EDGE, _EDGE[::-1] * 3 + [0, -1, 1],
-    *(np.random.default_rng(seed).integers(-50, 50, size) for seed, size in ((0, 40), (1, 2000))),
-    np.random.default_rng(2).integers(_EDGE[0], _EDGE[1], 500, endpoint=True),
-], ids=["empty", "one", "all-equal", "int64-ends", "int64-ends-repeated", "random-40",
-        "random-2000", "random-wide"])
-def test_distinct_is_unique_with_inverse(keys):
-    keys = np.asarray(keys, np.int64)
-    values, inverse = jsonio.distinct(keys)
-    expected_values, expected_inverse = np.unique(keys, return_inverse=True)
-    for got, expected in ((values, expected_values), (inverse, expected_inverse)):
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        assert np.array_equal(got, expected)
 
 
 def test_encoder_rejects_keys_that_are_not_strings():
@@ -911,11 +894,8 @@ except HexflowError as exc:
 def test_failed_write_leaves_no_old_bytes(tmp_path):
     path = tmp_path / "out.json"
     path.write_bytes(b"o" * 4096)
-    env = {**os.environ, "PYTHONPATH": str(Path(hexflow.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-c", FAILED_WRITE, str(path)], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == f"cannot write curvature file {path}: {os.strerror(errno.EFBIG)}\n"
+    stdout = run_python(FAILED_WRITE, str(path))
+    assert stdout == f"cannot write curvature file {path}: {os.strerror(errno.EFBIG)}\n"
     assert path.read_bytes() == b""
 
 
@@ -978,7 +958,8 @@ def test_importing_the_cli_loads_no_scipy():
     assert run_python(code) == "[]\n"
 
 
-@pytest.mark.parametrize("command", ["validate", "curvature", "volume", "fractional"])
+@pytest.mark.parametrize("command", ["validate", "curvature", "volume", "fractional",
+                                     "jacobian-check"])
 def test_command_without_a_factorisation_loads_no_scipy(cold_start_args, command):
     assert scipy_loaded(*cold_start_args[command]) == set()
 
@@ -990,11 +971,6 @@ def test_dense_cholesky_loads_scipy_linalg_only(cold_start_args, command):
     modules = scipy_loaded(*cold_start_args[command])
     assert "scipy.linalg" in modules
     assert modules <= set(json.loads(run_python(LAPACK_LOADED)))
-
-
-def test_jacobian_check_loads_scipy_sparse(cold_start_args):
-    # the symmetry residual of the chain-rule Jacobian reads its CSR matrix
-    assert "scipy.sparse" in scipy_loaded(*cold_start_args["jacobian-check"])
 
 
 # an array, np.matrix included, takes eigvalsh without importing scipy; a
@@ -1016,6 +992,32 @@ def test_min_eigenvalue_of_an_array_imports_no_scipy():
     *dense, sparse = json.loads(run_python(MIN_EIGENVALUE_ARMS))
     assert dense == [np.linalg.eigvalsh([[2.0, 1.0], [1.0, 2.0]])[0]] * 3
     assert sparse == pytest.approx(1.0, abs=1e-9)
+
+
+# prints the smallest eigenvalue of the Jacobian of the surface argv[1] at
+# the factor argv[2]
+MIN_EIGENVALUE_OF_FILES = """
+import sys
+from hexflow import global_jacobian, load_surface
+from hexflow.conformal import load_factor
+print(repr(global_jacobian(load_surface(sys.argv[1]), load_factor(sys.argv[2])).min_eigenvalue()))
+"""
+
+
+def test_sparse_min_eigenvalue_is_the_same_bits_on_every_call(tmp_path):
+    # eigsh starts from a vector of a fixed seed, not from a random one
+    s = torus(23)
+    a = reference_factor(s)
+    J = global_jacobian(s, a)
+    assert J.n > DENSE_EIG_MAX_N
+    first = J.min_eigenvalue()
+    assert J.min_eigenvalue() == global_jacobian(s, a).min_eigenvalue() == first
+    assert first == pytest.approx(np.linalg.eigvalsh(J.dense())[0], rel=1e-8)
+    surface, factor = str(tmp_path / "torus.json"), str(tmp_path / "factor.json")
+    save_surface(s, surface)
+    save_factor(a, factor)
+    runs = [run_python(MIN_EIGENVALUE_OF_FILES, surface, factor) for _ in range(2)]
+    assert runs == [f"{first!r}\n"] * 2
 
 
 @pytest.mark.parametrize("fixture", ["f1", "f2"])
@@ -1414,3 +1416,20 @@ def test_huge_weights_exit_without_warnings(command, etas, factor_file, target_f
     assert code == HUGE_WEIGHT_CODES[command]
     if code == 0:
         assert "structure_condition: holds" in capsys.readouterr().out
+
+
+def test_infinite_weight_exits_2_without_warnings(pants_path, tmp_path, capsys):
+    # a weight of +inf passes eta > -1, but every evaluation of the surface
+    # fails: both loader passes reject it before the structure condition
+    # multiplies it
+    data = json.loads(Path(pants_path).read_text())
+    data["edges"][1]["eta"] = math.inf
+    path = tmp_path / "pants.json"
+    path.write_text(json.dumps(data))
+    assert "Infinity" in path.read_text()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: surface file {path}: edge {data['edges'][1]['id']}: eta = inf is not finite\n"
+    )

@@ -25,7 +25,8 @@ from hexflow import (
     sample_admissible,
 )
 from hexflow.conformal import curvature_dump
-from conftest import PROFILES, load, reference_factor
+from hexflow.tolerances import DENSE_EIG_MAX_N
+from conftest import PROFILES, load, reference_factor, torus
 
 ARCCOSH15 = math.acosh(1.5)
 
@@ -269,6 +270,41 @@ class TestGlobalJacobian:
         J = GlobalJacobian(mat.data, CsrPattern(n, mat.indptr, mat.indices))
         dense_min = float(np.linalg.eigvalsh(mat.toarray()).min())
         assert J.min_eigenvalue() == pytest.approx(dense_min, rel=1e-8)
+
+
+def scipy_symmetry_residual(J) -> float:
+    """The symmetry residual as the CSR expression computed it before the
+    operand chose J's form."""
+    d = J.matrix - J.matrix.T
+    scale = max(1.0, abs(J.matrix).max() if J.matrix.nnz else 0.0)
+    return float(abs(d).max() / scale) if d.nnz else 0.0
+
+
+class TestOperand:
+    """GlobalJacobian.operand alone chooses dense or sparse linear algebra."""
+
+    @pytest.mark.parametrize("fixture", ["f1", "f2"])
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_dense_up_to_the_threshold(self, fixture, profile):
+        s = load(fixture, profile)
+        a = reference_factor(s)
+        for J in (global_jacobian(s, a), chain_global_jacobian(s, a)):
+            A = J.operand
+            assert type(A) is np.ndarray and not A.flags.writeable
+            assert J.operand is A
+            assert np.array_equal(A, J.dense())
+            assert J.symmetry_residual() == scipy_symmetry_residual(J)
+
+    def test_csr_above_the_threshold(self):
+        import scipy.sparse as sp
+
+        s = torus(23)  # n = 529
+        a = reference_factor(s)
+        for J in (global_jacobian(s, a), chain_global_jacobian(s, a)):
+            assert J.n > DENSE_EIG_MAX_N
+            assert sp.issparse(J.operand) and J.operand.format == "csr"
+            assert J.operand is J.matrix
+            assert J.symmetry_residual() == scipy_symmetry_residual(J)
 
 
 class TestEnergy:

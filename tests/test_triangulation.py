@@ -72,6 +72,12 @@ def test_eta_below_lower_bound_rejected():
         pair_of_pants((-1.5, 0.0, 0.0))
 
 
+def test_infinite_eta_rejected():
+    # the tuple-built surface goes through both passes, as a file does
+    with pytest.raises(EtaOutOfRange, match=r"^edge 0: eta = inf is not finite$"):
+        pair_of_pants((math.inf, -0.5, 0.0))
+
+
 def test_strict_mode_rejects_repeated_corner(tmp_path):
     data = {
         "n_boundary": 2,
@@ -317,6 +323,8 @@ LOADER_FAULTS = [
      EtaOutOfRange, 'edge 4: eta = nan is not > -1.0'),
     ('eta_minus_inf', True, [(('edges', 4, 'eta'), -math.inf)],
      EtaOutOfRange, 'edge 4: eta = -inf is not > -1.0'),
+    ('eta_plus_inf', True, [(('edges', 4, 'eta'), math.inf)],
+     EtaOutOfRange, 'edge 4: eta = inf is not finite'),
     ('duplicate_edge_id', True, [(('edges', 4, 'id'), 2)],
      ValidationError, 'duplicate edge id 2'),
     ('duplicate_face_id', True, [(('faces', 3, 'id'), 1)],
